@@ -13,36 +13,9 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// Escapes a string for a JSON literal.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats a float as JSON: finite values with 4 decimals, else `null`
-/// (JSON has no NaN/Infinity).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".into()
-    }
-}
+/// The workspace's JSON writer helpers, re-exported for the bench
+/// emitters and for harnesses that depend only on this crate.
+pub use rfnoc::json::{json_f64, json_str};
 
 /// `git describe --always --dirty` of the working tree, or `"unknown"`
 /// when git is unavailable — the provenance stamp of every artifact.
@@ -178,7 +151,7 @@ pub fn ingest_history(path: &Path) {
     let Some(store) = rfnoc::history::HistoryStore::from_env() else { return };
     let records = std::fs::read_to_string(path)
         .map_err(|e| e.to_string())
-        .and_then(|text| rfnoc::compare::parse(&text).map_err(|e| e.to_string()))
+        .and_then(|text| rfnoc::json::parse(&text).map_err(|e| e.to_string()))
         .and_then(|doc| rfnoc::history::HistoryRecord::from_artifact(&doc, None));
     let records = match records {
         Ok(r) => r,
@@ -359,13 +332,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(1.5), "1.5000");
-    }
-
-    #[test]
     fn git_describe_never_empty() {
         assert!(!git_describe().is_empty());
     }
@@ -390,5 +356,36 @@ mod tests {
         assert!(row.contains("\"cycles_per_sec_spread_stddev\": 5.0000"), "{row}");
         let bare = trajectory_row("g", 1, true, &[TrajectoryPoint::new("m", 1.0, 1.0)]);
         assert!(!bare.contains("spread"), "{bare}");
+        let flat = rfnoc::compare::flatten(&rfnoc::json::parse(&row).expect("row parses"));
+        assert_eq!(flat["configs[mesh].cycles_per_sec_spread_max"], 100.0);
+    }
+
+    #[test]
+    fn plan_artifact_parses_back() {
+        use crate::plan::{labeled, Design, SweepSpec};
+        use crate::runner::{run_plan, RunnerConfig};
+        let mut sim = rfnoc_sim::SimConfig::paper_baseline();
+        sim.warmup_cycles = 100;
+        sim.measure_cycles = 400;
+        sim.drain_cycles = 400;
+        let plan = SweepSpec::new("artifact")
+            .designs(vec![Design::new(
+                "base",
+                rfnoc::Architecture::Baseline,
+                rfnoc_power::LinkWidth::B16,
+            )])
+            .workloads(vec![labeled(
+                "Uniform",
+                rfnoc::WorkloadSpec::Trace(rfnoc_traffic::TraceKind::Uniform),
+            )])
+            .sims(vec![labeled("short", sim)])
+            .expand();
+        let results = run_plan(&plan, &RunnerConfig { jobs: 1, quiet: true, ..RunnerConfig::default() });
+        let json = render_json("artifact_test", &results);
+        let doc = rfnoc::json::parse(&json).expect("the artifact parses as JSON");
+        assert_eq!(doc.get("name").and_then(rfnoc::json::Json::as_str), Some("artifact_test"));
+        assert_eq!(doc.get("points_total"), Some(&rfnoc::json::Json::Num(1.0)));
+        let flat = rfnoc::compare::flatten(&doc);
+        assert!(flat.contains_key("points[artifact].avg_latency_cycles"), "{flat:?}");
     }
 }

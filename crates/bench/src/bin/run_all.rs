@@ -6,7 +6,8 @@
 //!
 //! Flags:
 //! - `--jobs N` / `-j N`: worker threads (default: available parallelism)
-//! - `--filter S`: only figures whose name contains `S` (repeatable)
+//! - `--filter S`: only figure `S` when `S` is a figure name, otherwise
+//!   every figure whose name contains `S` (repeatable; reaches probes)
 //! - `--quick`: shortened windows and trace sets (smoke test, not paper numbers)
 //! - `--all`: also include probe figures that are off by default (`tune_load`)
 //! - `--quiet`: suppress per-point progress lines

@@ -23,8 +23,7 @@ use rfnoc_bench::scenarios::{
 };
 use rfnoc_bench::svg::{render_link_heatmap, LinkHeatFigure};
 use rfnoc_bench::telemetry::{
-    self, covered_cycles, event_label, hottest_ports, link_utilization, print_timeline,
-    PORT_NAMES,
+    self, covered_cycles, hottest_ports, link_utilization, print_timeline, PORT_NAMES,
 };
 use rfnoc_sim::TelemetryReport;
 use rfnoc_traffic::Placement;
@@ -135,7 +134,7 @@ fn fault_scenario(quick: bool) {
             "\nRF grants/cycle: {before:.3} before the fault interval, {after:.3} after"
         );
         for e in tel.events_in_sample(i) {
-            println!("  event in interval {i}: cycle {} {}", e.cycle, event_label(&e.kind));
+            println!("  event in interval {i}: cycle {} {}", e.cycle, e.kind);
         }
     }
 }

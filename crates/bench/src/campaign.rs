@@ -600,6 +600,8 @@ mod tests {
             assert!(p.degradation[1].recovery.records > 0, "{:?}", p.profile);
         }
         let json = render_resilience_json("t", true, &summary);
+        let doc = rfnoc::json::parse(&json).expect("the artifact parses as JSON");
+        assert!(doc.get("profiles").is_some());
         assert!(json.contains("\"id\": \"adversarial\""));
         assert!(json.contains("\"degradation_delta\""));
         assert!(!json.contains("wall_ms"), "artifact must stay wall-time free");

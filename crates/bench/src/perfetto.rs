@@ -11,7 +11,7 @@
 //! as 1 simulated cycle.
 
 use crate::artifact::json_str;
-use crate::telemetry::{event_label, port_name};
+use crate::telemetry::port_name;
 use rfnoc_sim::TelemetryReport;
 use rfnoc_topology::{GridDims, Shortcut};
 use std::path::PathBuf;
@@ -111,7 +111,7 @@ pub fn render_trace(report: &TelemetryReport, spec: &TraceSpec<'_>) -> String {
         let ev = format!(
             "{{\"ph\": \"i\", \"pid\": {PID_ROUTERS}, \"tid\": 0, \"ts\": {}, \"s\": \"g\", \"name\": {}}}",
             e.cycle,
-            json_str(&event_label(&e.kind))
+            json_str(&e.kind.to_string())
         );
         push(&mut out, ev);
     }

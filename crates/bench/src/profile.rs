@@ -356,8 +356,8 @@ mod tests {
             ProfiledRun { label: "rf", arch: "Static".into(), stats: &stats, report: tel },
         ];
         let json = render_json("PROFILE_test", 0.05, &runs);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let doc = rfnoc::json::parse(&json).expect("the artifact parses as JSON");
+        assert!(doc.get("runs").is_some());
         for key in [
             "\"runs\"",
             "\"attribution\"",

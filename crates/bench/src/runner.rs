@@ -339,7 +339,7 @@ pub fn run_plan_with(plan: &Plan, cfg: &RunnerConfig, sink: &LedgerSink) -> Plan
                                 sink.emit(&format!(
                                     "\"point\": {}, {}",
                                     json_str(&point.id),
-                                    rec.render_fields()
+                                    rfnoc::ledger::render_fields(rec)
                                 ));
                             }
                         }

@@ -1,10 +1,9 @@
 //! The paper-suite registry: every plan-based figure/table/ablation as a
 //! declarative plan builder plus a table formatter.
 //!
-//! Each `src/bin/` harness binary is a thin wrapper over one [`Figure`]
-//! here ([`main_for`]); the `run_all` binary merges every suite figure
-//! into a single plan and executes it in one parallel pass
-//! ([`run_all_main`]).
+//! The `run_all` binary merges every selected figure into a single plan
+//! and executes it in one parallel pass ([`run_all_main`]);
+//! `run_all --filter <name>` regenerates one figure.
 
 use crate::artifact;
 use crate::campaign;
@@ -28,7 +27,8 @@ pub struct SuiteOptions {
 /// One regenerable figure/table of the paper suite: a plan builder and a
 /// renderer over its results.
 pub struct Figure {
-    /// Short name — binary name, plan-ID prefix, and artifact file stem.
+    /// Short name — `run_all --filter` key, plan-ID prefix, and artifact
+    /// file stem.
     pub name: &'static str,
     /// Human title printed above the tables.
     pub title: &'static str,
@@ -135,11 +135,6 @@ pub fn figures() -> Vec<Figure> {
             render: render_tune_load,
         },
     ]
-}
-
-/// The figure with the given name.
-pub fn figure(name: &str) -> Option<Figure> {
-    figures().into_iter().find(|f| f.name == name)
 }
 
 // ---------------------------------------------------------------- helpers
@@ -1182,31 +1177,31 @@ fn render_tune_load(results: &PlanResults, _opts: &SuiteOptions) {
 
 // -------------------------------------------------------- entry points
 
-/// Parses `--quick` out of the process arguments.
-fn quick_from_args() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// The shared main of every plan-based figure binary: parse `--jobs`/
-/// `--quick`, build the figure's plan, run it in parallel, render the
-/// tables, and write the JSON artifact.
-///
-/// # Panics
-///
-/// Panics when `name` is not a registered figure.
-pub fn main_for(name: &str) {
-    let fig = figure(name).unwrap_or_else(|| panic!("unknown figure {name:?}"));
-    let opts = SuiteOptions { quick: quick_from_args() };
-    let cfg = RunnerConfig::from_args();
-    println!("# {}", fig.title);
-    let plan = (fig.build)(&opts);
-    let results = run_plan(&plan, &cfg);
-    (fig.render)(&results, &opts);
-    artifact::write_json(fig.name, &results);
-    eprintln!(
-        "{}: {} points in {:.2?} on {} thread(s) (serial cost {:.2?})",
-        fig.name, plan.len(), results.total_wall, results.jobs, results.points_wall
-    );
+/// The figures `run_all` regenerates. Without filters: every suite
+/// figure, plus the probes when `include_probes`. With filters: every
+/// figure any filter selects, probes included. A filter equal to a
+/// figure's name selects exactly that figure (`fig1` does not also pull
+/// in `fig10`); any other filter selects every figure whose name contains
+/// it (`ablation` selects all three ablations).
+fn select_figures(filters: &[&str], include_probes: bool) -> Vec<Figure> {
+    let all = figures();
+    let names: Vec<&str> = all.iter().map(|f| f.name).collect();
+    let selects = |flt: &str, name: &str| {
+        if names.contains(&flt) {
+            name == flt
+        } else {
+            name.contains(flt)
+        }
+    };
+    all.into_iter()
+        .filter(|f| {
+            if filters.is_empty() {
+                f.in_suite || include_probes
+            } else {
+                filters.iter().any(|flt| selects(flt, f.name))
+            }
+        })
+        .collect()
 }
 
 /// The `run_all` binary: merge every suite figure (optionally filtered by
@@ -1215,7 +1210,7 @@ pub fn main_for(name: &str) {
 /// figure's tables and artifacts from the shared results.
 pub fn run_all_main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = SuiteOptions { quick: quick_from_args() };
+    let opts = SuiteOptions { quick: args.iter().any(|a| a == "--quick") };
     let cfg = RunnerConfig::from_args();
     let include_probes = args.iter().any(|a| a == "--all");
     let filters: Vec<&str> = args
@@ -1225,11 +1220,7 @@ pub fn run_all_main() {
         .filter_map(|(i, _)| args.get(i + 1).map(String::as_str))
         .collect();
 
-    let selected: Vec<Figure> = figures()
-        .into_iter()
-        .filter(|f| f.in_suite || include_probes || !filters.is_empty())
-        .filter(|f| filters.is_empty() || filters.iter().any(|flt| f.name.contains(flt)))
-        .collect();
+    let selected = select_figures(&filters, include_probes);
     if selected.is_empty() {
         eprintln!("run_all: no figures match the filter(s) {filters:?}");
         std::process::exit(2);
@@ -1262,4 +1253,41 @@ pub fn run_all_main() {
         results.jobs,
         results.points_wall,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(filters: &[&str], include_probes: bool) -> Vec<&'static str> {
+        select_figures(filters, include_probes).iter().map(|f| f.name).collect()
+    }
+
+    #[test]
+    fn exact_figure_name_selects_only_that_figure() {
+        assert_eq!(names(&["fig1"], false), ["fig1"]);
+        assert_eq!(names(&["fig10"], false), ["fig10"]);
+        assert_eq!(names(&["resilience"], false), ["resilience"]);
+        assert_eq!(names(&["mesh_scaling"], false), ["mesh_scaling"]);
+        assert_eq!(names(&["fig1", "fig7"], false), ["fig1", "fig7"]);
+    }
+
+    #[test]
+    fn other_filters_match_substrings_and_reach_probes() {
+        assert_eq!(
+            names(&["ablation"], false),
+            ["ablation_injection", "ablation_escape_vcs", "ablation_adaptive_routing"]
+        );
+        assert_eq!(names(&["tune"], false), ["tune_load"], "a filter reaches probes");
+        assert!(names(&["no_such_figure"], false).is_empty());
+    }
+
+    #[test]
+    fn no_filter_runs_the_suite_and_all_adds_probes() {
+        let suite = names(&[], false);
+        assert!(!suite.contains(&"tune_load"), "probes are opt-in");
+        assert!(suite.contains(&"fig1") && suite.contains(&"resilience"));
+        let everything = names(&[], true);
+        assert_eq!(everything.len(), figures().len());
+    }
 }

@@ -56,7 +56,7 @@
 
 use rfnoc::{Architecture, Experiment, FaultSpec, RunReport, SystemConfig, WorkloadSpec};
 use rfnoc_power::LinkWidth;
-use rfnoc_sim::{FaultRates, TelemetryConfig, TelemetryReport, TimelineEventKind};
+use rfnoc_sim::{FaultRates, TelemetryConfig, TelemetryReport};
 use rfnoc_traffic::{AppProfile, Placement, TraceKind};
 use std::process::ExitCode;
 
@@ -175,17 +175,6 @@ fn run_one(arch: Architecture, width: LinkWidth, workload: WorkloadSpec) -> RunR
 /// Prints the telemetry timeline: one row per interval (capped at 20
 /// evenly spaced rows; event-bearing intervals always shown).
 fn print_timeline(report: &TelemetryReport) {
-    let event_label = |kind: &TimelineEventKind| match kind {
-        TimelineEventKind::Fault(e) => format!("fault: {e:?}"),
-        TimelineEventKind::RetuneApplied { installed } => {
-            format!("retune_applied({installed} shortcuts)")
-        }
-        TimelineEventKind::TablesRewritten => "tables_rewritten".into(),
-        TimelineEventKind::WatchdogFired => "watchdog_fired".into(),
-        TimelineEventKind::RecoveryConverged { fault_cycle, after } => {
-            format!("recovery_converged(fault@{fault_cycle} after {after})")
-        }
-    };
     println!(
         "  {:>16} {:>8} {:>8} {:>8} {:>8} {:>18}  events",
         "interval", "inj/cyc", "cmp/cyc", "rf/cyc", "peak-buf", "va/sa/credit"
@@ -194,7 +183,7 @@ fn print_timeline(report: &TelemetryReport) {
     let stride = n.div_ceil(20).max(1);
     for (i, s) in report.samples.iter().enumerate() {
         let events: Vec<String> =
-            report.events_in_sample(i).map(|e| event_label(&e.kind)).collect();
+            report.events_in_sample(i).map(|e| e.kind.to_string()).collect();
         if i % stride != 0 && events.is_empty() && i + 1 != n {
             continue;
         }
@@ -395,7 +384,7 @@ fn read_artifact_records(
     name_override: Option<&str>,
 ) -> Result<Vec<rfnoc::history::HistoryRecord>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = rfnoc::compare::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let doc = rfnoc::json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     rfnoc::history::HistoryRecord::from_artifact(&doc, name_override)
         .map_err(|e| format!("{path}: {e}"))
 }

@@ -23,7 +23,8 @@
 //! — CI uses a throwaway directory so smoke runs never pollute the
 //! committed history.
 
-use crate::compare::{flatten, parse, Json};
+use crate::compare::flatten;
+use crate::json::{json_str, parse, Json};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -119,8 +120,8 @@ impl HistoryRecord {
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"schema\": {SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"artifact\": {},", jstr(&self.artifact));
-        let _ = writeln!(out, "  \"git\": {},", jstr(&self.git));
+        let _ = writeln!(out, "  \"artifact\": {},", json_str(&self.artifact));
+        let _ = writeln!(out, "  \"git\": {},", json_str(&self.git));
         let _ = writeln!(out, "  \"unix\": {},", self.unix);
         let _ = writeln!(
             out,
@@ -139,7 +140,7 @@ impl HistoryRecord {
             let _ = writeln!(
                 out,
                 "    {}: {v}{}",
-                jstr(path),
+                json_str(path),
                 if i + 1 == n { "" } else { "," }
             );
         }
@@ -344,25 +345,6 @@ pub fn matching_paths(records: &[HistoryRecord], query: &str) -> Vec<String> {
         .collect();
     out.sort();
     out.dedup();
-    out
-}
-
-/// Escapes a string for a JSON literal (shared hand-rolled convention).
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

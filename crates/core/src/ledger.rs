@@ -19,15 +19,95 @@
 //!
 //! Every line of the ledger is one flat JSON object tagged with `kind`
 //! (`heartbeat` / `shard` / `event` from the engine, `plan_*` / `point_*`
-//! from the runner) and stamped with `t_ms`. The reader is strict about
+//! from the runner) and stamped with `t_ms`. The engine's typed
+//! [`LedgerRecord`]s are rendered here too ([`render_fields`],
+//! [`render_jsonl`]), so one module owns both the writing and the
+//! reading of those lines. The reader is strict about
 //! JSON well-formedness (a malformed line is an error — a truncated final
 //! line, the one legitimate mid-write artifact of `--follow`, is the only
 //! exception) and tolerant about unknown kinds, which it counts but
 //! otherwise ignores so the schema can grow.
 
-use crate::compare::{parse, Json};
+use crate::json::{json_f64, json_str, parse, Json};
+use rfnoc_sim::{LedgerRecord, TimelineEventKind};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// An engine ledger record's JSON fields, without the surrounding braces
+/// — so a sink can splice extra context (a timestamp, a plan-point id)
+/// into the same flat object.
+pub fn render_fields(rec: &LedgerRecord) -> String {
+    let mut out = String::new();
+    let _ = write!(out, "\"kind\": {}", json_str(rec.kind()));
+    match rec {
+        LedgerRecord::Heartbeat {
+            cycle,
+            cycles,
+            wall_ms,
+            kcycles_per_sec,
+            in_flight,
+            completed,
+            active_routers,
+        } => {
+            let _ = write!(
+                out,
+                ", \"cycle\": {cycle}, \"cycles\": {cycles}, \"wall_ms\": {}, \
+                 \"kcycles_per_sec\": {}, \"in_flight\": {in_flight}, \
+                 \"completed\": {completed}, \"active_routers\": {active_routers}",
+                json_f64(*wall_ms),
+                json_f64(*kcycles_per_sec),
+            );
+        }
+        LedgerRecord::Shard { cycle, shard, swept_routers, sweep_ms, barrier_ms, replay_ops } => {
+            let _ = write!(
+                out,
+                ", \"cycle\": {cycle}, \"shard\": {shard}, \
+                 \"swept_routers\": {swept_routers}, \"sweep_ms\": {}, \
+                 \"barrier_ms\": {}, \"replay_ops\": {replay_ops}",
+                json_f64(*sweep_ms),
+                json_f64(*barrier_ms),
+            );
+        }
+        LedgerRecord::Event { cycle, kind } => {
+            let _ = write!(out, ", \"cycle\": {cycle}");
+            match kind {
+                TimelineEventKind::Fault(e) => {
+                    let _ = write!(
+                        out,
+                        ", \"event\": \"fault\", \"detail\": {}",
+                        json_str(&format!("{e:?}"))
+                    );
+                }
+                TimelineEventKind::RetuneApplied { installed } => {
+                    let _ = write!(
+                        out,
+                        ", \"event\": \"retune_applied\", \"installed\": {installed}"
+                    );
+                }
+                TimelineEventKind::TablesRewritten => {
+                    out.push_str(", \"event\": \"tables_rewritten\"");
+                }
+                TimelineEventKind::RecoveryConverged { fault_cycle, after } => {
+                    let _ = write!(
+                        out,
+                        ", \"event\": \"recovery_converged\", \
+                         \"fault_cycle\": {fault_cycle}, \"after\": {after}"
+                    );
+                }
+                TimelineEventKind::WatchdogFired => {
+                    out.push_str(", \"event\": \"watchdog_fired\"");
+                }
+            }
+        }
+    }
+    out
+}
+
+/// An engine ledger record as one self-contained JSONL line (no trailing
+/// newline).
+pub fn render_jsonl(rec: &LedgerRecord) -> String {
+    format!("{{{}}}", render_fields(rec))
+}
 
 /// Reads a numeric field of a flat record.
 fn num(rec: &Json, key: &str) -> Option<f64> {
@@ -40,35 +120,6 @@ fn num(rec: &Json, key: &str) -> Option<f64> {
 /// Reads a string field of a flat record.
 fn text<'j>(rec: &'j Json, key: &str) -> Option<&'j str> {
     rec.get(key).and_then(Json::as_str)
-}
-
-/// Escapes a string for a JSON literal (hand-rolled JSON — no serde in
-/// the container; matches the bench artifact conventions).
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats a float as JSON: finite values with 4 decimals, else `null`.
-fn jf64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".into()
-    }
 }
 
 /// Accumulated totals for one engine shard across every `shard` record.
@@ -289,19 +340,19 @@ impl LedgerSummary {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"records\": {},", self.records);
         let _ = writeln!(out, "  \"heartbeats\": {},", self.heartbeats);
-        let _ = writeln!(out, "  \"total_kcycles\": {},", jf64(self.total_cycles / 1e3));
-        let _ = writeln!(out, "  \"kcycles_per_sec_mean\": {},", jf64(self.kcps_mean()));
-        let _ = writeln!(out, "  \"kcycles_per_sec_max\": {},", jf64(self.kcps_max()));
+        let _ = writeln!(out, "  \"total_kcycles\": {},", json_f64(self.total_cycles / 1e3));
+        let _ = writeln!(out, "  \"kcycles_per_sec_mean\": {},", json_f64(self.kcps_mean()));
+        let _ = writeln!(out, "  \"kcycles_per_sec_max\": {},", json_f64(self.kcps_max()));
         let _ = writeln!(
             out,
             "  \"span_wall_ms\": {},",
-            jf64(self.t_ms_span.1 - self.t_ms_span.0)
+            json_f64(self.t_ms_span.1 - self.t_ms_span.0)
         );
         if let Some(v) = self.shard_imbalance() {
-            let _ = writeln!(out, "  \"shard_imbalance\": {},", jf64(v));
+            let _ = writeln!(out, "  \"shard_imbalance\": {},", json_f64(v));
         }
         if let Some(v) = self.barrier_wait_frac() {
-            let _ = writeln!(out, "  \"barrier_wait_frac\": {},", jf64(v));
+            let _ = writeln!(out, "  \"barrier_wait_frac\": {},", json_f64(v));
         }
         if !self.shards.is_empty() {
             out.push_str("  \"shards\": [\n");
@@ -311,25 +362,25 @@ impl LedgerSummary {
                     out,
                     "    {{\"id\": {}, \"swept_routers\": {}, \"sweep_ms\": {}, \
                      \"barrier_ms\": {}, \"replay_ops\": {}}}{}",
-                    jstr(&format!("shard{id}")),
-                    jf64(t.swept_routers),
-                    jf64(t.sweep_ms),
-                    jf64(t.barrier_ms),
-                    jf64(t.replay_ops),
+                    json_str(&format!("shard{id}")),
+                    json_f64(t.swept_routers),
+                    json_f64(t.sweep_ms),
+                    json_f64(t.barrier_ms),
+                    json_f64(t.replay_ops),
                     if i + 1 == n { "" } else { "," },
                 );
             }
             out.push_str("  ],\n");
         }
         if let Some(p) = self.points_planned {
-            let _ = writeln!(out, "  \"points_planned\": {},", jf64(p));
+            let _ = writeln!(out, "  \"points_planned\": {},", json_f64(p));
         }
         let _ = writeln!(out, "  \"points_finished\": {},", self.points_finished);
         if let Some(d) = self.dedup_hits {
-            let _ = writeln!(out, "  \"dedup_hits\": {},", jf64(d));
+            let _ = writeln!(out, "  \"dedup_hits\": {},", json_f64(d));
         }
         if let Some(w) = self.plan_wall_ms {
-            let _ = writeln!(out, "  \"plan_wall_ms\": {},", jf64(w));
+            let _ = writeln!(out, "  \"plan_wall_ms\": {},", json_f64(w));
         }
         if !self.events.is_empty() {
             out.push_str("  \"events\": {\n");
@@ -338,7 +389,7 @@ impl LedgerSummary {
                 let _ = writeln!(
                     out,
                     "    {}: {count}{}",
-                    jstr(name),
+                    json_str(name),
                     if i + 1 == n { "" } else { "," }
                 );
             }
@@ -530,6 +581,66 @@ pub fn sparkline(values: &[f64], width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfnoc_sim::FaultEvent;
+
+    /// One engine record of every kind, every event kind included.
+    fn every_engine_record() -> Vec<LedgerRecord> {
+        let mut recs = vec![
+            LedgerRecord::Heartbeat {
+                cycle: 1000,
+                cycles: 500,
+                wall_ms: 1.25,
+                kcycles_per_sec: 400.0,
+                in_flight: 7,
+                completed: 93,
+                active_routers: 64,
+            },
+            LedgerRecord::Shard {
+                cycle: 1000,
+                shard: 3,
+                swept_routers: 1200,
+                sweep_ms: 0.5,
+                barrier_ms: f64::NAN,
+                replay_ops: 42,
+            },
+        ];
+        let events = [
+            TimelineEventKind::Fault(FaultEvent::ShortcutDown { src: 4 }),
+            TimelineEventKind::RetuneApplied { installed: 5 },
+            TimelineEventKind::TablesRewritten,
+            TimelineEventKind::RecoveryConverged { fault_cycle: 100, after: 23 },
+            TimelineEventKind::WatchdogFired,
+        ];
+        recs.extend(events.into_iter().map(|kind| LedgerRecord::Event { cycle: 9, kind }));
+        recs
+    }
+
+    #[test]
+    fn engine_records_render_and_parse_back() {
+        let recs = every_engine_record();
+        let hb = render_jsonl(&recs[0]);
+        assert_eq!(
+            hb,
+            "{\"kind\": \"heartbeat\", \"cycle\": 1000, \"cycles\": 500, \
+             \"wall_ms\": 1.2500, \"kcycles_per_sec\": 400.0000, \"in_flight\": 7, \
+             \"completed\": 93, \"active_routers\": 64}"
+        );
+        assert!(render_jsonl(&recs[1]).contains("\"barrier_ms\": null"));
+        let fault = render_jsonl(&recs[2]);
+        assert!(
+            fault.ends_with("\"event\": \"fault\", \"detail\": \"ShortcutDown { src: 4 }\"}"),
+            "{fault}"
+        );
+        assert!(render_jsonl(&recs[3]).contains("\"installed\": 5"));
+        assert!(render_jsonl(&recs[6]).contains("\"event\": \"watchdog_fired\""));
+        for rec in recs {
+            let line = render_jsonl(&rec);
+            assert!(!line.contains('\n'), "one record per line: {line}");
+            let doc = parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(text(&doc, "kind"), Some(rec.kind()), "{line}");
+            assert_eq!(num(&doc, "cycle"), Some(rec.cycle() as f64), "{line}");
+        }
+    }
 
     const SAMPLE: &str = concat!(
         "{\"t_ms\": 0.100, \"kind\": \"plan_start\", \"points\": 4, \"unique\": 3, ",

@@ -4,7 +4,8 @@
 //! are informational, and how id-keyed arrays and truncated inputs
 //! behave, since a silent direction flip would invert a gate verdict.
 
-use rfnoc::compare::{compare, direction_of, flatten, parse, Direction};
+use rfnoc::compare::{compare, direction_of, flatten, Direction};
+use rfnoc::json::parse;
 
 #[test]
 fn higher_is_better_keywords() {

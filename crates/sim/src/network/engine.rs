@@ -11,7 +11,7 @@
 #[allow(clippy::wildcard_imports)]
 use super::*;
 use std::sync::atomic::Ordering::Relaxed;
-use sweep::{Completion, PacketAccess, Sweep, SweepShared, TelSink, TraceSink};
+use sweep::{Completion, PacketAccess, Sweep, SweepShared, TelSink};
 
 impl Network {
 
@@ -150,15 +150,14 @@ impl Network {
             rf_accepting: self.rf_accepting(),
             injection_stalled: self.injection_stalled(),
         };
-        let trace_limit = self.config.flit_trace.limit;
         // Sharded sweep-phase wall time, for the ledger's barrier-wait
         // attribution; stays `None` on the serial path and when the
         // ledger is off.
         let mut sweep_wall_ns: Option<u64> = None;
         if self.sweep_threads <= 1 {
             // Serial engine: one shard with exclusive packet access (tree
-            // multicast may allocate children mid-sweep) and direct
-            // telemetry/trace sinks — the pre-sharding cost profile.
+            // multicast may allocate children mid-sweep) and a direct
+            // telemetry sink — the pre-sharding cost profile.
             let mut shard = Sweep {
                 sh: &shared,
                 base: 0,
@@ -171,15 +170,6 @@ impl Network {
                 tel: match self.telemetry.as_deref_mut() {
                     Some(t) => TelSink::Direct(t),
                     None => TelSink::Off,
-                },
-                trace: if trace_limit > 0 {
-                    TraceSink::Direct {
-                        events: &mut self.flit_trace,
-                        dropped: &mut self.flit_trace_dropped,
-                        limit: trace_limit,
-                    }
-                } else {
-                    TraceSink::Off
                 },
                 buf: &mut self.shard_bufs[0],
             };
@@ -224,7 +214,6 @@ impl Network {
                     per_dest: pd0,
                     packets: PacketAccess::Shared(packets),
                     tel: if tel_on { TelSink::Buffer } else { TelSink::Off },
-                    trace: if trace_limit > 0 { TraceSink::Buffer } else { TraceSink::Off },
                     buf: &mut b0[0],
                 })));
             }
@@ -253,15 +242,14 @@ impl Network {
     }
 
     /// Replays every shard buffer in shard order — ascending router order,
-    /// the serial engine's visit order — so telemetry records, trace
-    /// events, statistics, and message completions land in the
-    /// bit-identical sequence the single-threaded engine produces. The
-    /// serial path uses the same replay for its statistics deltas and
-    /// completions (its telemetry/trace applied directly during the
-    /// sweep), keeping the two engines on one code path.
+    /// the serial engine's visit order — so telemetry records,
+    /// statistics, and message completions land in the bit-identical
+    /// sequence the single-threaded engine produces. The serial path uses
+    /// the same replay for its statistics deltas and completions (its
+    /// telemetry applied directly during the sweep), keeping the two
+    /// engines on one code path.
     fn replay_shards(&mut self) {
         let now = self.cycle;
-        let trace_limit = self.config.flit_trace.limit;
         for si in 0..self.shard_bufs.len() {
             if let Some(t) = self.telemetry.as_deref_mut() {
                 for op in self.shard_bufs[si].tel_ops.drain(..) {
@@ -270,15 +258,6 @@ impl Network {
             } else {
                 self.shard_bufs[si].tel_ops.clear();
             }
-            for i in 0..self.shard_bufs[si].trace.len() {
-                let ev = self.shard_bufs[si].trace[i];
-                if self.flit_trace.len() < trace_limit {
-                    self.flit_trace.push(ev);
-                } else {
-                    self.flit_trace_dropped += 1;
-                }
-            }
-            self.shard_bufs[si].trace.clear();
             {
                 let b = &mut self.shard_bufs[si];
                 self.stats.ejected_flits += std::mem::take(&mut b.ejected_flits);
@@ -789,14 +768,6 @@ impl Sweep<'_> {
             width_bytes
         };
 
-        if self.trace_on() {
-            let kind = if is_ejection {
-                telemetry::FlitEventKind::Ejected
-            } else {
-                telemetry::FlitEventKind::Granted { out_port: out as u8 }
-            };
-            self.trace_event(sent_packet, flit.idx, r, kind);
-        }
         if self.tel_on() {
             self.tel(sweep::TelOp::Grant {
                 r: r as u32,

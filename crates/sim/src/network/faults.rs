@@ -59,6 +59,19 @@ impl RecoveryState {
         }
     }
 
+    /// Consumes one timeline event (see `Network::tel_event`): a fault
+    /// opens a record, a retune closes the drain phase of every record
+    /// waiting on it, a table rewrite closes the rewrite phase. Other
+    /// events carry nothing the tracker measures.
+    pub(super) fn on_event(&mut self, cycle: u64, kind: TimelineEventKind) {
+        match kind {
+            TimelineEventKind::Fault(event) => self.on_fault(event, cycle),
+            TimelineEventKind::RetuneApplied { .. } => self.on_retune_applied(cycle),
+            TimelineEventKind::TablesRewritten => self.on_tables_rewritten(cycle),
+            TimelineEventKind::RecoveryConverged { .. } | TimelineEventKind::WatchdogFired => {}
+        }
+    }
+
     fn on_fault(&mut self, event: FaultEvent, cycle: u64) {
         self.open.push(OpenRecovery {
             record: RecoveryRecord {
@@ -149,22 +162,6 @@ impl RecoveryState {
 
 impl Network {
 
-    /// Recovery hook: a retune was applied (drain phase over).
-    pub(super) fn recovery_note_retune_applied(&mut self) {
-        let cycle = self.cycle;
-        if let Some(r) = self.recovery.as_deref_mut() {
-            r.on_retune_applied(cycle);
-        }
-    }
-
-    /// Recovery hook: the routing-table rewrite completed.
-    pub(super) fn recovery_note_tables_rewritten(&mut self) {
-        let cycle = self.cycle;
-        if let Some(r) = self.recovery.as_deref_mut() {
-            r.on_tables_rewritten(cycle);
-        }
-    }
-
     /// Recovery hook: one measured message completed at `at` with the
     /// given latency. Emits a timeline event per newly-converged fault.
     pub(super) fn recovery_note_completion(&mut self, latency: u64, at: u64) {
@@ -230,10 +227,6 @@ impl Network {
         // to idle routers are no-ops) against missing a wakeup.
         self.mark_all_active();
         self.tel_event(telemetry::TimelineEventKind::Fault(event));
-        let cycle = self.cycle;
-        if let Some(r) = self.recovery.as_deref_mut() {
-            r.on_fault(event, cycle);
-        }
         match event {
             FaultEvent::ShortcutDown { src } => self.fail_shortcut(src),
             FaultEvent::BandDown => {

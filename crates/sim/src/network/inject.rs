@@ -296,9 +296,6 @@ impl sweep::Sweep<'_> {
                 self.routers[rl].inputs[local]
                     .arrivals
                     .push_back((arrival, vc as u16, flit));
-                if self.trace_on() {
-                    self.trace_event(flit.packet, flit.idx, r, telemetry::FlitEventKind::Injected);
-                }
                 sent += 1;
                 continue 'streaming;
             }

@@ -98,7 +98,6 @@ impl Network {
         self.tel_event(telemetry::TimelineEventKind::RetuneApplied {
             installed: self.active_shortcuts.len(),
         });
-        self.recovery_note_retune_applied();
         // Retuning rewrites the routing tables; wake everyone so any
         // packet whose route just changed is revisited promptly.
         self.mark_all_active();
@@ -161,7 +160,6 @@ impl Network {
                 if self.cycle >= until {
                     self.reconfigurations += 1;
                     self.tel_event(telemetry::TimelineEventKind::TablesRewritten);
-                    self.recovery_note_tables_rewritten();
                     // A fault that struck mid-rewrite queued a fresh target;
                     // start draining toward it now.
                     if let Some(target) = self.pending_target.take() {

@@ -13,8 +13,8 @@
 //!   `per_dest`);
 //! * a private [`ShardBuf`] collecting everything that crosses a shard
 //!   boundary or touches global state: flit deliveries, credit returns,
-//!   multicast enqueues, message completions, telemetry operations, trace
-//!   events, and scalar statistics deltas.
+//!   multicast enqueues, message completions, telemetry operations, and
+//!   scalar statistics deltas.
 //!
 //! Shared state is read-only during the sweep ([`SweepShared`] snapshots
 //! the routing tables and per-cycle flags) except for three per-packet
@@ -27,10 +27,10 @@
 //!
 //! Determinism: after the barrier, shard buffers are replayed in shard
 //! order — which is ascending-router order, exactly the serial engine's
-//! visit order — so completions, telemetry records, trace events, and
-//! outbox drains land in the bit-identical sequence the single-threaded
-//! engine produces. The serial engine itself runs as one shard through
-//! this same code path, which is how the golden-hash suite pins both.
+//! visit order — so completions, telemetry records, and outbox drains
+//! land in the bit-identical sequence the single-threaded engine
+//! produces. The serial engine itself runs as one shard through this same
+//! code path, which is how the golden-hash suite pins both.
 
 #[allow(clippy::wildcard_imports)]
 use super::*;
@@ -165,17 +165,6 @@ pub(super) enum TelSink<'a> {
     Buffer,
 }
 
-/// Where a shard's flit-trace events land (mirrors [`TelSink`]).
-pub(super) enum TraceSink<'a> {
-    Off,
-    Direct {
-        events: &'a mut Vec<FlitEvent>,
-        dropped: &'a mut u64,
-        limit: usize,
-    },
-    Buffer,
-}
-
 /// One telemetry hook invocation, captured during a parallel sweep and
 /// replayed in shard order. Packet-derived values (creation cycle, head
 /// grants) are captured at emission so replay needs no packet-table access.
@@ -223,9 +212,6 @@ pub(super) struct ShardBuf {
     pub completions: Vec<Completion>,
     /// Buffered telemetry operations (parallel sweeps only).
     pub tel_ops: Vec<TelOp>,
-    /// Buffered flit-trace events (parallel sweeps only; the cap is
-    /// applied at replay).
-    pub trace: Vec<FlitEvent>,
     /// Switch-allocation request scratch, one list per output slot.
     pub sa_requests: Vec<Vec<(u8, u16, i8)>>,
     /// Scalar statistics deltas, added to `RunStats` at replay.
@@ -274,7 +260,6 @@ pub(super) struct Sweep<'a> {
     pub per_dest: &'a mut [u32],
     pub packets: PacketAccess<'a>,
     pub tel: TelSink<'a>,
-    pub trace: TraceSink<'a>,
     pub buf: &'a mut ShardBuf,
 }
 
@@ -321,28 +306,6 @@ impl Sweep<'_> {
         }
     }
 
-    /// Whether the flit trace is recording.
-    #[inline]
-    pub fn trace_on(&self) -> bool {
-        !matches!(self.trace, TraceSink::Off)
-    }
-
-    /// Records a flit-trace event on the shard's sink.
-    pub fn trace_event(&mut self, packet: u32, flit: u32, router: usize, kind: FlitEventKind) {
-        let ev = FlitEvent { cycle: self.sh.cycle, packet, flit, router, kind };
-        match &mut self.trace {
-            TraceSink::Off => {}
-            TraceSink::Direct { events, dropped, limit } => {
-                if events.len() < *limit {
-                    events.push(ev);
-                } else {
-                    **dropped += 1;
-                }
-            }
-            TraceSink::Buffer => self.buf.trace.push(ev),
-        }
-    }
-
     /// Allocates a mid-sweep packet (tree-multicast children). Only legal
     /// on the serial path: VCT multicast forces `threads = 1`.
     pub fn new_packet(&mut self, p: PacketInfo) -> u32 {
@@ -352,12 +315,7 @@ impl Sweep<'_> {
         packets.push(p);
         let id = (packets.len() - 1) as u32;
         if let TelSink::Direct(t) = &mut self.tel {
-            let p = &packets[id as usize];
-            let dest = match p.dest {
-                PacketDest::Unicast(d) => d as u32,
-                PacketDest::Tree(_) => u32::MAX,
-            };
-            t.on_packet_created(id, p.src, dest, p.created, p.measured);
+            t.on_packet_created(id, &packets[id as usize]);
         }
         id
     }

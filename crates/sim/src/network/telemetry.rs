@@ -1,5 +1,5 @@
-//! Telemetry: interval-sampled counters, packet-lifecycle spans, the
-//! fault/retune event timeline, and the flit-level debug trace.
+//! Telemetry: interval-sampled counters, packet-lifecycle spans, per-hop
+//! delay records, and the fault/retune event timeline.
 //!
 //! The aggregate [`crate::RunStats`] answer "how did the run end"; this
 //! module answers "where and *when* did congestion form". When enabled via
@@ -26,83 +26,18 @@
 //! attribution, see [`HopRecord`]) adds one amortized `Vec` push per
 //! router traversal, bounded by [`TelemetryConfig::hop_limit`]; it is
 //! excluded from [`ChannelMask::ALL`] so the standard telemetry overhead
-//! envelope is unchanged.
+//! envelope is unchanged. Its hop records carry each head flit's arrival,
+//! VC-allocation, and switch-grant cycles and output port at every
+//! router — the full-detail per-flit view of a packet's path.
 //!
-//! # Flit trace
+//! # One event path
 //!
-//! The older flit-level debug trace lives here too. It is configured by
-//! [`FlitTraceConfig`] (the bare `flit_trace_limit` field is gone) and no
-//! longer truncates silently: events past the cap are counted in
-//! [`Network::flit_trace_dropped`].
+//! Every [`TimelineEventKind`] enters through `Network::tel_event`, which
+//! fans it out once, in a fixed order: the run ledger, telemetry's
+//! timeline, then the per-fault recovery tracker.
 
 #[allow(clippy::wildcard_imports)]
 use super::*;
-
-/// What happened to a flit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlitEventKind {
-    /// Entered the network at the source's local port.
-    Injected,
-    /// Granted switch allocation at a router toward the given output port
-    /// (0–3 mesh, 4 local/ejection, 5 RF).
-    Granted {
-        /// Output port index.
-        out_port: u8,
-    },
-    /// Left the network at the destination's local port.
-    Ejected,
-}
-
-/// One traced flit movement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlitEvent {
-    /// Cycle the event occurred.
-    pub cycle: u64,
-    /// Packet table index.
-    pub packet: u32,
-    /// Flit index within the packet (0 = head).
-    pub flit: u32,
-    /// Router where the event occurred.
-    pub router: usize,
-    /// Event kind.
-    pub kind: FlitEventKind,
-}
-
-/// Configuration of the flit-level debug trace.
-///
-/// Replaces the old bare `flit_trace_limit` field: the cap is now
-/// documented and truncation is visible. Tracing records one [`FlitEvent`]
-/// per flit movement (injection, switch grant, ejection) up to `limit`
-/// events; movements past the cap are *counted* in
-/// [`Network::flit_trace_dropped`] instead of vanishing silently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlitTraceConfig {
-    /// Maximum events to record; 0 disables tracing entirely.
-    pub limit: usize,
-}
-
-impl FlitTraceConfig {
-    /// Tracing off (the default — tracing costs time and memory).
-    pub const fn disabled() -> Self {
-        Self { limit: 0 }
-    }
-
-    /// Tracing on, capped at `limit` events.
-    pub const fn capped(limit: usize) -> Self {
-        Self { limit }
-    }
-
-    /// Whether any tracing happens.
-    pub const fn is_enabled(&self) -> bool {
-        self.limit > 0
-    }
-}
-
-impl Default for FlitTraceConfig {
-    fn default() -> Self {
-        Self::disabled()
-    }
-}
 
 /// Bit mask selecting which telemetry channels are recorded.
 ///
@@ -337,7 +272,7 @@ impl IntervalSample {
 }
 
 /// The lifecycle of one network packet: inject → first switch grant →
-/// last flit ejected. The structured successor to walking the flit trace.
+/// last flit ejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketSpan {
     /// Packet table index.
@@ -531,6 +466,24 @@ pub enum TimelineEventKind {
     /// The forward-progress watchdog stopped the run (see
     /// [`crate::RunStats::health`] for the diagnosis).
     WatchdogFired,
+}
+
+impl std::fmt::Display for TimelineEventKind {
+    /// The event's human label, as printed by the timeline tables and
+    /// written into telemetry and Perfetto artifacts.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Fault(e) => write!(f, "fault: {e:?}"),
+            Self::RetuneApplied { installed } => {
+                write!(f, "retune_applied({installed} shortcuts)")
+            }
+            Self::TablesRewritten => f.write_str("tables_rewritten"),
+            Self::WatchdogFired => f.write_str("watchdog_fired"),
+            Self::RecoveryConverged { fault_cycle, after } => {
+                write!(f, "recovery_converged(fault@{fault_cycle} after {after})")
+            }
+        }
+    }
 }
 
 /// One timeline event.
@@ -855,17 +808,9 @@ impl TelemetryState {
         }
     }
 
-    /// Registers a freshly created packet: opens its lifecycle span.
-    /// `dest` is the destination router (`u32::MAX` for a multicast tree
-    /// packet).
-    pub(super) fn on_packet_created(
-        &mut self,
-        packet: u32,
-        src: u32,
-        dest: u32,
-        injected_at: u64,
-        measured: bool,
-    ) {
+    /// Registers a freshly created packet `p` (table index `packet`):
+    /// opens its lifecycle span.
+    pub(super) fn on_packet_created(&mut self, packet: u32, p: &PacketInfo) {
         if !self.on(ChannelMask::SPANS) {
             return;
         }
@@ -882,14 +827,17 @@ impl TelemetryState {
         }
         self.spans.push(PacketSpan {
             packet,
-            src,
-            dest,
-            injected_at,
+            src: p.src,
+            dest: match p.dest {
+                PacketDest::Unicast(d) => d as u32,
+                PacketDest::Tree(_) => u32::MAX,
+            },
+            injected_at: p.created,
             first_grant_at: u64::MAX,
             ejected_at: u64::MAX,
             hops: 0,
             took_rf: false,
-            measured,
+            measured: p.measured,
         });
     }
 
@@ -1058,18 +1006,6 @@ impl TelemetryState {
 }
 
 impl Network {
-    /// The recorded flit trace so far (empty unless
-    /// [`crate::SimConfig::flit_trace`] enables tracing).
-    pub fn flit_trace(&self) -> &[FlitEvent] {
-        &self.flit_trace
-    }
-
-    /// Flit-trace events dropped because [`FlitTraceConfig::limit`] was
-    /// reached — non-zero means the trace is a truncated prefix.
-    pub fn flit_trace_dropped(&self) -> u64 {
-        self.flit_trace_dropped
-    }
-
     /// Per-cycle telemetry work, called once at the end of every
     /// [`Network::step`]: accumulates the occupancy channel and flushes
     /// the interval at its boundary. No-op when telemetry is disabled.
@@ -1129,12 +1065,7 @@ impl Network {
     #[inline]
     pub(super) fn tel_packet_created(&mut self, packet: u32) {
         let Some(t) = self.telemetry.as_deref_mut() else { return };
-        let p = &self.packets[packet as usize];
-        let dest = match p.dest {
-            PacketDest::Unicast(d) => d as u32,
-            PacketDest::Tree(_) => u32::MAX,
-        };
-        t.on_packet_created(packet, p.src, dest, p.created, p.measured);
+        t.on_packet_created(packet, &self.packets[packet as usize]);
     }
 
     /// Records one flit transmitted on the RF broadcast band.
@@ -1151,17 +1082,23 @@ impl Network {
         t.on_injected();
     }
 
-    /// Appends a timeline event at the current cycle, mirroring it onto
-    /// the run ledger's stream when that is enabled (the ledger carries
-    /// the same events even with telemetry off).
+    /// Fans one timeline event at the current cycle out to every enabled
+    /// observer, in order: the run ledger's stream (which carries the
+    /// events even with telemetry off), telemetry's timeline, and the
+    /// recovery tracker (faults open records; retunes and table rewrites
+    /// stamp their drain and rewrite phases).
     #[inline]
     pub(super) fn tel_event(&mut self, kind: TimelineEventKind) {
         let cycle = self.cycle;
         if let Some(l) = self.ledger.as_deref_mut() {
             l.on_event(cycle, kind);
         }
-        let Some(t) = self.telemetry.as_deref_mut() else { return };
-        t.on_event(cycle, kind);
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.on_event(cycle, kind);
+        }
+        if let Some(r) = self.recovery.as_deref_mut() {
+            r.on_event(cycle, kind);
+        }
     }
 }
 
@@ -1198,12 +1135,5 @@ mod tests {
         assert!(m.contains(ChannelMask::LINKS) && m.contains(ChannelMask::STALLS));
         assert!(!m.contains(ChannelMask::OCCUPANCY));
         assert!(!ChannelMask::NONE.contains(ChannelMask::LINKS));
-    }
-
-    #[test]
-    fn flit_trace_config_defaults_off() {
-        assert!(!FlitTraceConfig::default().is_enabled());
-        assert!(FlitTraceConfig::capped(7).is_enabled());
-        assert_eq!(FlitTraceConfig::disabled(), FlitTraceConfig::default());
     }
 }

@@ -1,8 +1,7 @@
 //! Integration tests of the run ledger: inertness (identical statistics
 //! with the ledger on or off, serial and sharded, through fault storms),
 //! heartbeat tiling and monotonicity, shard-metric reconciliation against
-//! the engine's active-router visits, JSONL rendering of every record,
-//! and timeline-event mirroring.
+//! the engine's active-router visits, and timeline-event mirroring.
 
 use rfnoc_sim::{
     FaultEvent, FaultPlan, LedgerConfig, LedgerRecord, MessageClass, MessageSpec, Network,
@@ -221,10 +220,10 @@ fn shard_records_reconcile_with_active_visits() {
 }
 
 /// Timeline events (faults, retunes) are mirrored onto the ledger stream
-/// with their cycle stamps, and every record renders as a JSONL object
-/// carrying its kind tag.
+/// with their cycle stamps. (Their JSONL rendering is tested in
+/// `rfnoc::ledger`, which owns it.)
 #[test]
-fn events_mirror_and_records_render() {
+fn events_mirror_onto_the_ledger() {
     let mut cfg = base_config(2);
     cfg.ledger = Some(LedgerConfig::every(500));
     let stats = run_fault_storm(cfg);
@@ -246,16 +245,6 @@ fn events_mirror_and_records_render() {
         assert!(c <= stats.end_cycle);
     }
 
-    for r in &report.records {
-        let line = r.render_jsonl();
-        assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        assert!(
-            line.starts_with(&format!("{{\"kind\": \"{}\"", r.kind())),
-            "{line}"
-        );
-        assert!(line.contains(&format!("\"cycle\": {}", r.cycle())), "{line}");
-        assert!(!line.contains('\n'), "one record per line: {line}");
-    }
 }
 
 /// `run` moves the accumulated stream out into the returned stats: a

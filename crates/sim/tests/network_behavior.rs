@@ -840,51 +840,38 @@ fn self_loop_shortcut_rejected_at_build() {
     }
 }
 
+/// The head flit's hop records follow the 5-cycle router pipeline: one
+/// record per router on the XY path, switch grants at routers 0, 1 and 2
+/// five cycles apart, then the local-port grant at the destination.
 #[test]
-fn flit_trace_follows_pipeline_timing() {
-    use rfnoc_sim::{FlitEvent, FlitEventKind};
+fn hop_records_follow_pipeline_timing() {
     let dims = GridDims::new(4, 4);
     let mut cfg = quick_config();
-    cfg.flit_trace = rfnoc_sim::FlitTraceConfig::capped(256);
+    cfg.telemetry = Some(rfnoc_sim::TelemetryConfig::profiling(64));
     let mut network = Network::new(NetworkSpec::mesh_baseline(dims, cfg));
     let mut workload = ScriptedWorkload::new(vec![(
         0,
         MessageSpec::unicast(0, 3, MessageClass::Request),
     )]);
-    network.run(&mut workload);
-    let trace: Vec<FlitEvent> = network.flit_trace().to_vec();
-    // One 7B request at 16B = a single head/tail flit:
-    // injected at 0, granted at routers 0,1,2, ejected at 3.
-    let head: Vec<&FlitEvent> = trace.iter().filter(|e| e.flit == 0).collect();
-    assert_eq!(head.len(), 5, "trace: {head:?}");
-    assert_eq!(head[0].kind, FlitEventKind::Injected);
-    assert_eq!(head[0].router, 0);
-    for (i, e) in head[1..4].iter().enumerate() {
-        assert_eq!(e.router, i, "grant {i}");
-        assert!(matches!(e.kind, FlitEventKind::Granted { .. }));
+    let stats = network.run(&mut workload);
+    let report = stats.telemetry.as_ref().expect("telemetry enabled");
+    // One 7B request at 16B = a single head/tail flit, entering at
+    // router 0's local port and leaving at router 3's.
+    let hops = report.hops_of(0);
+    let routers: Vec<u32> = hops.iter().map(|h| h.router).collect();
+    assert_eq!(routers, [0, 1, 2, 3], "hops: {hops:?}");
+    let local = 4;
+    assert_eq!(hops[0].port_in, local, "injected through the local port");
+    assert_eq!(hops[3].port_out, local, "ejected through the local port");
+    for h in &hops[..3] {
+        assert_ne!(h.port_out, local, "in-network grant at router {}", h.router);
     }
-    assert_eq!(head[4].kind, FlitEventKind::Ejected);
-    assert_eq!(head[4].router, 3);
     // Per-hop spacing of a head flit is the 5-cycle pipeline.
-    for pair in head[1..4].windows(2) {
-        assert_eq!(pair[1].cycle - pair[0].cycle, 5, "head pipeline spacing");
+    for pair in hops.windows(2) {
+        assert_eq!(pair[1].granted_at - pair[0].granted_at, 5, "head pipeline spacing");
     }
-}
-
-#[test]
-fn flit_trace_respects_cap_and_default_off() {
-    let dims = GridDims::new(4, 4);
-    let mut network = Network::new(NetworkSpec::mesh_baseline(dims, quick_config()));
-    let mut w = ScriptedWorkload::new(vec![(0, MessageSpec::unicast(0, 15, MessageClass::Memory))]);
-    network.run(&mut w);
-    assert!(network.flit_trace().is_empty(), "tracing defaults off");
-
-    let mut cfg = quick_config();
-    cfg.flit_trace = rfnoc_sim::FlitTraceConfig::capped(7);
-    let mut network = Network::new(NetworkSpec::mesh_baseline(dims, cfg));
-    let mut w = ScriptedWorkload::new(vec![(0, MessageSpec::unicast(0, 15, MessageClass::Memory))]);
-    network.run(&mut w);
-    assert_eq!(network.flit_trace().len(), 7, "cap respected");
+    let span = report.span_of_packet(0).expect("span recorded");
+    assert_eq!(span.ejected_at, hops[3].granted_at + 2);
 }
 
 #[test]

@@ -6,9 +6,8 @@
 use proptest::prelude::*;
 use rfnoc_sim::{
     latency_bucket, latency_bucket_bounds, ChannelMask, ConfigError, DestSet, FaultEvent,
-    FaultPlan, FlitEventKind, FlitTraceConfig, MessageClass, MessageSpec, Network,
-    NetworkSpec, RunStats, ScriptedWorkload, SimConfig, SimError, TelemetryConfig,
-    TimelineEventKind, LATENCY_BUCKETS,
+    FaultPlan, MessageClass, MessageSpec, Network, NetworkSpec, RunStats, ScriptedWorkload,
+    SimConfig, SimError, TelemetryConfig, TimelineEventKind, LATENCY_BUCKETS,
 };
 use rfnoc_topology::{GridDims, Shortcut};
 
@@ -135,14 +134,13 @@ fn telemetry_is_a_pure_observer() {
     assert_eq!(on, off, "telemetry must not change simulated behaviour");
 }
 
-/// The packet span agrees cycle-for-cycle with the flit trace and the
-/// 5-cycle head pipeline on a 3-hop unicast.
+/// The packet span agrees cycle-for-cycle with the head flit's hop
+/// records and the 5-cycle head pipeline on a 3-hop unicast.
 #[test]
 fn span_timing_pins_the_pipeline() {
     let dims = GridDims::new(4, 4);
     let mut cfg = quick_config();
-    cfg.flit_trace = FlitTraceConfig::capped(256);
-    cfg.telemetry = Some(TelemetryConfig::every(64));
+    cfg.telemetry = Some(TelemetryConfig::profiling(64));
     let mut network = Network::new(NetworkSpec::mesh_baseline(dims, cfg));
     let mut workload = ScriptedWorkload::new(vec![(
         0,
@@ -152,30 +150,26 @@ fn span_timing_pins_the_pipeline() {
     let report = stats.telemetry.as_ref().expect("telemetry enabled");
     assert_eq!(report.spans.len(), 1);
     let span = &report.spans[0];
-
-    let trace = network.flit_trace();
-    let first_grant = trace
-        .iter()
-        .find(|e| matches!(e.kind, FlitEventKind::Granted { .. }))
-        .expect("head flit granted");
-    let ejected = trace
-        .iter()
-        .find(|e| e.kind == FlitEventKind::Ejected)
-        .expect("head flit ejected");
+    let hops = report.hops_of(span.packet);
+    assert_eq!(hops.len(), 4, "routers 0, 1, 2 and 3: {hops:?}");
+    // Head grants at routers 0, 1, 2, then the local-port grant at 3.
+    let (first_grant, ejection_grant) = (hops[0], hops[3]);
+    assert_eq!(ejection_grant.router, 3);
+    assert_eq!(ejection_grant.port_out, 4, "local port of a mesh router");
 
     assert_eq!(span.src, 0);
     assert_eq!(span.dest, 3);
     assert_eq!(span.injected_at, 0);
-    assert_eq!(span.first_grant_at, first_grant.cycle);
+    assert_eq!(span.first_grant_at, first_grant.granted_at);
     // The local-port grant is followed by switch + link traversal before
     // the flit lands at the destination core.
-    assert_eq!(span.ejected_at, ejected.cycle + 2);
+    assert_eq!(span.ejected_at, ejection_grant.granted_at + 2);
     assert_eq!(span.hops, 3, "0→1→2→3 traverses three links");
     assert!(!span.took_rf, "no shortcuts on a bare mesh");
     assert_eq!(span.latency(), Some(span.ejected_at));
     // Head grants at routers 0,1,2 are spaced by the 5-cycle pipeline, so
     // the whole span is pinned once its endpoints are.
-    assert_eq!(ejected.cycle - first_grant.cycle, 3 * 5);
+    assert_eq!(ejection_grant.granted_at - first_grant.granted_at, 3 * 5);
 }
 
 /// A packet routed over an RF shortcut is flagged in its span.
@@ -211,20 +205,6 @@ fn span_cap_counts_dropped_spans() {
     let report = stats.telemetry.as_ref().expect("telemetry enabled");
     assert_eq!(report.spans.len(), 2, "cap respected");
     assert_eq!(report.dropped_spans, 3, "overflow counted");
-}
-
-/// Flit-trace truncation is observable through the dropped counter.
-#[test]
-fn flit_trace_truncation_is_counted() {
-    let dims = GridDims::new(4, 4);
-    let mut cfg = quick_config();
-    cfg.flit_trace = FlitTraceConfig::capped(7);
-    let mut network = Network::new(NetworkSpec::mesh_baseline(dims, cfg));
-    let mut w =
-        ScriptedWorkload::new(vec![(0, MessageSpec::unicast(0, 15, MessageClass::Memory))]);
-    network.run(&mut w);
-    assert_eq!(network.flit_trace().len(), 7);
-    assert!(network.flit_trace_dropped() > 0, "truncation must be visible");
 }
 
 /// Disabled channels leave their fields empty; the sample vectors do not
