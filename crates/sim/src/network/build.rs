@@ -132,9 +132,7 @@ impl Network {
                     let back = fabric
                         .port_between(nb, r)
                         .expect("base fabric links are bidirectional");
-                    inputs[slot].exists = true;
-                    inputs[slot].vcs = vec![Default::default(); vcs];
-                    inputs[slot].upstream = Some((nb, back));
+                    inputs[slot] = InputPort::new(vcs, depth, Some((nb, back)));
                     outputs[slot].exists = true;
                     outputs[slot].target = Some((nb, back));
                     outputs[slot].capacity = 1;
@@ -146,9 +144,7 @@ impl Network {
             }
             // Local port: injection in, ejection out.
             let local = base;
-            inputs[local].exists = true;
-            inputs[local].vcs = vec![Default::default(); vcs];
-            inputs[local].upstream = None;
+            inputs[local] = InputPort::new(vcs, depth, None);
             outputs[local].exists = true;
             outputs[local].target = None;
             outputs[local].capacity = spec.config.local_port_speedup;
@@ -179,9 +175,7 @@ impl Network {
                 }
             }
             if let Some(src) = rf_in[r] {
-                inputs[rf].exists = true;
-                inputs[rf].vcs = vec![Default::default(); vcs];
-                inputs[rf].upstream = Some((src, base_ports[src] + 1));
+                inputs[rf] = InputPort::new(vcs, depth, Some((src, base_ports[src] + 1)));
             }
             routers.push(Router {
                 inputs,
@@ -274,6 +268,7 @@ impl Network {
             last_completion: 0,
             active_epoch: 1,
             active_stamp: vec![0; n],
+            route_epoch: 1,
             config: spec.config,
         })
     }

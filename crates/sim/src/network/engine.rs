@@ -149,6 +149,7 @@ impl Network {
             cluster_of: self.mc.as_ref().map(|mc| mc.cluster_of.as_slice()),
             rf_accepting: self.rf_accepting(),
             injection_stalled: self.injection_stalled(),
+            route_epoch: self.route_epoch,
         };
         // Sharded sweep-phase wall time, for the ledger's barrier-wait
         // attribution; stays `None` on the serial path and when the
@@ -355,7 +356,7 @@ impl Sweep<'_> {
                         if flit.is_head() {
                             self.routers[rl].claim_vc(port, vc, flit.packet);
                         }
-                        self.routers[rl].inputs[port].vcs[vc as usize].buffer.push_back(flit);
+                        self.routers[rl].inputs[port].push(vc as usize, flit);
                         if self.tel_on() {
                             self.tel(sweep::TelOp::BufferPush(r as u32));
                             // Tree-multicast packets fork mid-network;
@@ -394,6 +395,8 @@ impl Sweep<'_> {
         // rotating a field keeps idle-router visits side-effect free.
         let np = self.sh.num_ports(r);
         let rr_base = ((r as u64 + now) % np as u64) as usize;
+        // Failed attempts this visit, reported to telemetry as one sum.
+        let mut stalls = 0u64;
         for port_off in 0..np {
             let port = (rr_base + port_off) % np;
             if !self.routers[rl].inputs[port].exists {
@@ -403,13 +406,14 @@ impl Sweep<'_> {
             // across this loop and can be walked by index without cloning.
             let occ_len = self.routers[rl].inputs[port].occupied.len();
             for oi in 0..occ_len {
-                let vc = self.routers[rl].inputs[port].occupied[oi];
-                let vci = vc as usize;
-                let (needs_va, front, packet_id) = {
-                    let v = &self.routers[rl].inputs[port].vcs[vci];
+                let vci = self.routers[rl].inputs[port].occupied[oi] as usize;
+                let (needs_va, front, packet_id, cached) = {
+                    let p = &self.routers[rl].inputs[port];
+                    let v = &p.vcs[vci];
                     let needs = !v.allocated
                         && (!v.mc_routed || v.mc_branches.iter().any(|b| b.out_vc.is_none()));
-                    (needs, v.buffer.front().copied(), v.cur_packet)
+                    let cached = v.route_epoch == self.sh.route_epoch;
+                    (needs, p.front(vci).copied(), v.cur_packet, cached)
                 };
                 if !needs_va {
                     continue;
@@ -419,18 +423,48 @@ impl Sweep<'_> {
                     continue;
                 }
                 let packet_id = packet_id.expect("claimed VC has a packet");
-                match self.packets.get(packet_id).dest {
-                    PacketDest::Unicast(dest) => {
-                        self.va_unicast(r, port, vci, packet_id, dest, escape_vcs, depth, now);
-                    }
-                    PacketDest::Tree(set) => {
-                        self.va_tree(r, port, vci, packet_id, set, escape_vcs, depth, now);
+                if !cached {
+                    match self.packets.get(packet_id).dest {
+                        PacketDest::Unicast(dest) => self.fill_route(r, port, vci, packet_id, dest),
+                        PacketDest::Tree(set) => {
+                            let stalled =
+                                self.va_tree(r, port, vci, packet_id, set, escape_vcs, depth, now);
+                            stalls += u64::from(stalled);
+                            continue;
+                        }
                     }
                 }
+                let stalled = self.va_unicast(r, port, vci, packet_id, escape_vcs, depth, now);
+                stalls += u64::from(stalled);
             }
+        }
+        if stalls > 0 && self.tel_on() {
+            self.tel(sweep::TelOp::VaStalls(stalls));
         }
     }
 
+    /// Fills the route cache of the unicast head at `(port, vci)` (see
+    /// `VcState::route_epoch`): its destination, its escape port, and the
+    /// port its adaptive-class attempts target. A `mesh_only` packet keeps
+    /// to the escape route; without a port table the two ports coincide.
+    fn fill_route(&mut self, r: usize, port: usize, vci: usize, packet: u32, dest: NodeId) {
+        let escape = self.sh.escape_port(r, dest);
+        let routed = if self.sh.port_table.is_none()
+            || self.packets.get(packet).mesh_only.load(Relaxed)
+        {
+            escape
+        } else {
+            self.sh.route_port(r, dest)
+        };
+        let v = &mut self.routers[r - self.base].inputs[port].vcs[vci];
+        v.route_epoch = self.sh.route_epoch;
+        v.route_dest = dest as u32;
+        v.route_escape = escape;
+        v.route_port = routed;
+    }
+
+    /// VC allocation for the unicast head at `(port, vci)`, whose route
+    /// cache is filled. Returns true when the attempt failed.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn va_unicast(
         &mut self,
@@ -438,43 +472,32 @@ impl Sweep<'_> {
         port: usize,
         vci: usize,
         packet: u32,
-        dest: NodeId,
         escape_vcs: usize,
         depth: u32,
         now: u64,
-    ) {
+    ) -> bool {
         let rl = r - self.base;
         let total = self.sh.config.total_vcs();
-        let on_escape = vci < escape_vcs;
-        let grant = if on_escape {
-            let out = self.sh.escape_port(r, dest) as usize;
-            alloc_out_vc(&mut self.routers[rl].outputs, out, 0..escape_vcs, packet, depth)
-                .map(|ov| (out, ov))
+        let (dest, esc, routed, blocked) = {
+            let v = &self.routers[rl].inputs[port].vcs[vci];
+            (v.route_dest as usize, v.route_escape as usize, v.route_port as usize, v.va_blocked)
+        };
+        let outputs = &mut self.routers[rl].outputs;
+        let grant = if vci < escape_vcs {
+            alloc_out_vc(outputs, esc, 0..escape_vcs, packet, depth).map(|ov| (esc, ov))
         } else {
-            let mesh_only = self.packets.get(packet).mesh_only.load(Relaxed);
-            let mut out = if mesh_only {
-                self.sh.escape_port(r, dest) as usize
-            } else {
-                self.sh.route_port(r, dest) as usize
-            };
+            let rf = self.sh.rf_port(r);
             // A draining reconfiguration closes the RF ports to new
             // packets; route over the mesh instead.
-            if out == self.sh.rf_port(r) && !self.sh.rf_accepting {
-                out = self.sh.escape_port(r, dest) as usize;
-            }
+            let out = if routed == rf && !self.sh.rf_accepting { esc } else { routed };
             let mut grant =
-                alloc_out_vc(&mut self.routers[rl].outputs, out, escape_vcs..total, packet, depth)
-                    .map(|ov| (out, ov));
+                alloc_out_vc(outputs, out, escape_vcs..total, packet, depth).map(|ov| (out, ov));
             // HPCA-2008 contention avoidance: a packet blocked on a busy
             // shortcut may adaptively take the mesh route instead, but only
             // once the wait already exceeds the estimated extra cost of the
             // mesh detour (≈3 cycles per extra hop); it then commits to XY
             // so the detour cannot loop back.
-            if grant.is_none()
-                && out == self.sh.rf_port(r)
-                && self.sh.config.adaptive_shortcut_routing
-            {
-                let blocked = self.routers[rl].inputs[port].vcs[vci].va_blocked;
+            if grant.is_none() && out == rf && self.sh.config.adaptive_shortcut_routing {
                 let extra_hops = self
                     .sh
                     .sp_dist
@@ -484,45 +507,36 @@ impl Sweep<'_> {
                     })
                     .unwrap_or(0);
                 if blocked >= 3 * extra_hops {
-                    let mesh = self.sh.escape_port(r, dest) as usize;
-                    grant = alloc_out_vc(
-                        &mut self.routers[rl].outputs,
-                        mesh,
-                        escape_vcs..total,
-                        packet,
-                        depth,
-                    )
-                    .map(|ov| (mesh, ov));
+                    grant = alloc_out_vc(outputs, esc, escape_vcs..total, packet, depth)
+                        .map(|ov| (esc, ov));
                     if grant.is_some() {
                         self.packets.get(packet).mesh_only.store(true, Relaxed);
                     }
                 }
             }
             grant.or_else(|| {
-                let esc = self.sh.escape_port(r, dest) as usize;
-                alloc_out_vc(&mut self.routers[rl].outputs, esc, 0..escape_vcs, packet, depth)
-                    .map(|ov| (esc, ov))
+                alloc_out_vc(outputs, esc, 0..escape_vcs, packet, depth).map(|ov| (esc, ov))
             })
         };
-        let granted = grant.is_some();
-        let v = &mut self.routers[rl].inputs[port].vcs[vci];
+        let p = &mut self.routers[rl].inputs[port];
         match grant {
             Some((out, ovc)) => {
+                let v = &mut p.vcs[vci];
                 v.allocated = true;
                 v.out_port = out as u8;
                 v.out_vc = ovc;
                 v.va_blocked = 0;
-                if let Some(f) = v.buffer.front_mut() {
+                if let Some(f) = p.front_mut(vci) {
                     f.eligible = now + 1;
                 }
+                if self.tel_on() {
+                    self.tel(sweep::TelOp::HopVa { packet });
+                }
+                false
             }
-            None => v.va_blocked += 1,
-        }
-        if self.tel_on() {
-            if granted {
-                self.tel(sweep::TelOp::HopVa { packet });
-            } else {
-                self.tel(sweep::TelOp::VaStall);
+            None => {
+                p.vcs[vci].va_blocked += 1;
+                true
             }
         }
     }
@@ -538,7 +552,7 @@ impl Sweep<'_> {
         escape_vcs: usize,
         depth: u32,
         now: u64,
-    ) {
+    ) -> bool {
         let rl = r - self.base;
         let total = self.sh.config.total_vcs();
         // Compute the base-route tree partition once.
@@ -611,15 +625,13 @@ impl Sweep<'_> {
         // Release the head flit into switch allocation on the *first*
         // successful branch allocation only.
         if any_allocated && !had_allocation {
-            if let Some(f) = self.routers[rl].inputs[port].vcs[vci].buffer.front_mut() {
+            if let Some(f) = self.routers[rl].inputs[port].front_mut(vci) {
                 if f.is_head() && f.eligible <= now {
                     f.eligible = now + 1;
                 }
             }
         }
-        if !any_allocated && !had_allocation && self.tel_on() {
-            self.tel(sweep::TelOp::VaStall);
-        }
+        !any_allocated && !had_allocation
     }
 
     /// Switch allocation + traversal: grant flits to output ports.
@@ -641,8 +653,9 @@ impl Sweep<'_> {
             let occ_len = self.routers[rl].inputs[port].occupied.len();
             for oi in 0..occ_len {
                 let vc = self.routers[rl].inputs[port].occupied[oi];
-                let v = &self.routers[rl].inputs[port].vcs[vc as usize];
-                let Some(front) = v.buffer.front() else { continue };
+                let p = &self.routers[rl].inputs[port];
+                let Some(front) = p.front(vc as usize) else { continue };
+                let v = &p.vcs[vc as usize];
                 if front.eligible > now {
                     continue;
                 }
@@ -705,6 +718,12 @@ impl Sweep<'_> {
                 self.tel(sweep::TelOp::SaStalls((reqs_len as u64).saturating_sub(granted)));
             }
         }
+        // `try_grant` counts credit stalls (telemetry on only); report the
+        // visit's sum once.
+        if self.buf.credit_stalls > 0 {
+            let stalls = std::mem::take(&mut self.buf.credit_stalls);
+            self.tel(sweep::TelOp::CreditStalls(stalls));
+        }
     }
 
     /// Attempts one switch-allocation grant. Returns true on success.
@@ -722,8 +741,9 @@ impl Sweep<'_> {
         let rl = r - self.base;
         let is_ejection = self.routers[rl].outputs[out].target.is_none();
         let (flit, out_vc, sent_packet, is_mc, pop) = {
-            let v = &self.routers[rl].inputs[port].vcs[vci];
-            let Some(&front) = v.buffer.front() else { return false };
+            let p = &self.routers[rl].inputs[port];
+            let Some(&front) = p.front(vci) else { return false };
+            let v = &p.vcs[vci];
             if front.eligible > now {
                 return false;
             }
@@ -738,7 +758,7 @@ impl Sweep<'_> {
         // Credit check for non-ejection ports.
         if !is_ejection && self.routers[rl].outputs[out].vcs[out_vc as usize].credits == 0 {
             if self.tel_on() {
-                self.tel(sweep::TelOp::CreditStall);
+                self.buf.credit_stalls += 1;
                 // Body-flit credit stalls surface in tail serialization;
                 // only the head's count toward the hop's credit-wait.
                 if !is_mc && flit.is_head() {
@@ -842,7 +862,7 @@ impl Sweep<'_> {
             pop
         };
         if retire {
-            self.routers[rl].inputs[port].vcs[vci].buffer.pop_front();
+            self.routers[rl].inputs[port].pop(vci);
             if self.tel_on() {
                 self.tel(sweep::TelOp::BufferPop(r as u32));
             }

@@ -344,6 +344,7 @@ impl Network {
     /// bit-identical to a from-scratch build (per-destination BFS columns
     /// are independent and deterministic).
     fn refresh_detour_state(&mut self, a: usize, b: usize, removed: bool) {
+        self.route_epoch += 1;
         if self.mesh_link_failures == 0 {
             self.escape_table = None;
             self.escape_dist = None;
@@ -578,5 +579,54 @@ impl Network {
             since_completion,
             recovering_faults: self.recovery.as_deref().map_or(0, RecoveryState::open_count),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::packet::MessageClass;
+
+    /// A head blocked at VC allocation keeps its route cached across
+    /// retries; a link failure that rewrites the escape table must
+    /// invalidate that cache so the head leaves by the detour port rather
+    /// than retrying the dead one forever.
+    #[test]
+    fn escape_rewrite_reroutes_a_head_blocked_at_va() {
+        let dims = GridDims::new(4, 4);
+        let mut cfg = SimConfig::paper_baseline();
+        cfg.warmup_cycles = 0;
+        let fail_at = 30;
+        let plan = FaultPlan::new(vec![(fail_at, FaultEvent::MeshLinkDown { a: 1, b: 2 })]);
+        let mut net = Network::new(NetworkSpec::mesh_baseline(dims, cfg).with_fault_plan(plan));
+        // Router 1's east output is fully owned, so the XY head from 0 to 3
+        // stalls at router 1 until the link behind that port fails.
+        for v in &mut net.routers[1].outputs[PORT_E].vcs {
+            v.owner = Some(u32::MAX);
+        }
+        net.inject_message(MessageSpec::unicast(0, 3, MessageClass::Request));
+        while net.cycle < fail_at {
+            net.step();
+        }
+        let port = &net.routers[1].inputs[PORT_W];
+        let &vc = port.occupied.first().expect("head reached router 1");
+        let v = &port.vcs[vc as usize];
+        assert!(!v.allocated && v.va_blocked > 0, "head blocked at VA");
+        assert_eq!(v.route_epoch, net.route_epoch, "blocked head retries from its cache");
+        assert_eq!(v.route_escape as usize, PORT_E);
+
+        net.step();
+        // Router 1's escape port toward 3 after the rewrite.
+        let detour =
+            net.escape_table.as_ref().expect("a failed link installs detours")[dims.nodes() + 3];
+        assert_eq!(detour as usize, PORT_S);
+        let v = &net.routers[1].inputs[PORT_W].vcs[vc as usize];
+        assert!(v.allocated, "head allocated on the cycle the tables changed");
+        assert_eq!(v.out_port, detour, "head leaves by the rewritten escape port");
+        while net.stats.completed_messages == 0 && net.cycle < fail_at + 100 {
+            net.step();
+        }
+        assert_eq!(net.stats.completed_messages, 1, "message delivered around the failure");
+        net.debug_validate();
     }
 }

@@ -14,7 +14,7 @@ impl Network {
 
     pub(super) fn new_packet(&mut self, p: PacketInfo) -> u32 {
         self.packets.push(p);
-        let id = (self.packets.len() - 1) as u32;
+        let id = packet_id(self.packets.len());
         if self.telemetry.is_some() {
             self.tel_packet_created(id);
         }
@@ -142,7 +142,8 @@ impl Network {
             dests: set,
             bytes,
         });
-        let parent = (self.parents.len() - 1) as u32;
+        let parent = u32::try_from(self.parents.len() - 1)
+            .expect("more than 2^32 multicast messages in one run: parent ids are u32");
         if measured {
             self.mark_busy(now);
             self.measured_outstanding += 1;

@@ -365,6 +365,11 @@ pub struct Network {
     active_epoch: u64,
     /// Per-router sweep stamp; `mark_active` stamps the upcoming sweep.
     active_stamp: Vec<u64>,
+    /// Routing-table generation, starting at 1: bumped whenever
+    /// `port_table` or `escape_table` is rewritten (`rebuild_unicast_tables`,
+    /// `refresh_detour_state`). A VC's cached head route is valid only
+    /// while its `VcState::route_epoch` matches.
+    route_epoch: u32,
 }
 
 mod build;
@@ -468,8 +473,11 @@ impl Network {
     ///   is claimed, without duplicates or out-of-range entries — the
     ///   active-set scheduler and both allocation stages scan this list
     ///   instead of every VC.
-    /// - A released VC carries no leftover packet state (buffer,
+    /// - A released VC carries no leftover packet state (buffered flits,
     ///   allocation, multicast branches).
+    /// - Every VC's flit ring is in range: `len <= depth`, `head < depth`.
+    /// - Flit storage is `vcs × depth` slots on an existing port and
+    ///   empty on an absent one.
     /// - Ports that don't physically exist hold no work.
     /// - Active-set coverage: every non-quiescent router is stamped for
     ///   the next `step_routers` visit (no lost work).
@@ -487,7 +495,21 @@ impl Network {
                         "router {r} port {pi}: occupied vc {vc} listed twice"
                     );
                 }
+                let depth = port.depth;
+                let slots = if port.exists { port.vcs.len() * depth as usize } else { 0 };
+                assert_eq!(
+                    port.flits.len(),
+                    slots,
+                    "router {r} port {pi}: flit storage is not vcs x depth (exists {})",
+                    port.exists
+                );
                 for (vci, vc) in port.vcs.iter().enumerate() {
+                    assert!(
+                        vc.len <= depth && vc.head < depth,
+                        "router {r} port {pi} vc {vci}: ring head {} len {} outside depth {depth}",
+                        vc.head,
+                        vc.len
+                    );
                     let listed = port.occupied.contains(&(vci as u16));
                     assert_eq!(
                         vc.cur_packet.is_some(),
@@ -497,7 +519,7 @@ impl Network {
                     );
                     if vc.cur_packet.is_none() {
                         assert!(
-                            vc.buffer.is_empty(),
+                            vc.len == 0,
                             "router {r} port {pi} vc {vci}: flits buffered on a released VC"
                         );
                         assert!(
@@ -523,6 +545,15 @@ impl Network {
     }
 }
 
+
+/// The id of the packet just pushed onto a table now `len` long.
+///
+/// # Panics
+///
+/// Panics past 2^32 packets: packet ids are `u32`.
+fn packet_id(len: usize) -> u32 {
+    u32::try_from(len - 1).expect("more than 2^32 packets in one run: packet ids are u32")
+}
 
 /// Allocates a free output VC in `class` range at `out`, marking ownership.
 fn alloc_out_vc(
@@ -664,6 +695,14 @@ mod tests {
         );
         assert_eq!(len, 1);
         assert_eq!(groups[0].0 as usize, PORT_E);
+    }
+
+    #[test]
+    fn packet_ids_are_checked_not_wrapped() {
+        assert_eq!(packet_id(1), 0);
+        assert_eq!(packet_id(u32::MAX as usize + 1), u32::MAX);
+        let wrapped = std::panic::catch_unwind(|| packet_id(u32::MAX as usize + 2));
+        assert!(wrapped.is_err(), "id 2^32 must not wrap to 0");
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl Network {
                     .all(|v| v.owner.is_none() && v.credits == depth);
             let in_ok = !r.inputs[rf].exists
                 || (r.inputs[rf].arrivals.is_empty()
-                    && r.inputs[rf].vcs.iter().all(|v| v.buffer.is_empty()));
+                    && r.inputs[rf].vcs.iter().all(|v| v.len == 0));
             out_ok && in_ok
         })
     }
@@ -88,10 +88,8 @@ impl Network {
             for v in &mut out.vcs {
                 v.credits = depth;
             }
-            let inp = &mut self.routers[s.dst].inputs[rf_dst];
-            inp.exists = true;
-            inp.vcs = vec![Default::default(); vcs];
-            inp.upstream = Some((s.src, rf_src as u8));
+            self.routers[s.dst].inputs[rf_dst] =
+                InputPort::new(vcs, depth, Some((s.src, rf_src as u8)));
         }
         self.active_shortcuts = installed;
         self.rebuild_unicast_tables();
@@ -111,6 +109,7 @@ impl Network {
     /// links.
     pub(super) fn rebuild_unicast_tables(&mut self) {
         let n = self.dims.nodes();
+        self.route_epoch += 1;
         if self.mesh_link_failures > 0 {
             let shortcuts = self.active_shortcuts.clone();
             let (pt, dm, td) = self.detour_tables(&shortcuts);

@@ -78,6 +78,9 @@ pub(super) struct SweepShared<'a> {
     pub rf_accepting: bool,
     /// True while a routing-table rewrite stalls injection.
     pub injection_stalled: bool,
+    /// `Network::route_epoch`: the generation a VC's cached route must
+    /// match to be used.
+    pub route_epoch: u32,
 }
 
 impl SweepShared<'_> {
@@ -168,14 +171,16 @@ pub(super) enum TelSink<'a> {
 /// One telemetry hook invocation, captured during a parallel sweep and
 /// replayed in shard order. Packet-derived values (creation cycle, head
 /// grants) are captured at emission so replay needs no packet-table access.
+/// Stall counters are plain sums into the current interval, so each
+/// router visit reports its VA, credit, and SA stalls as batched counts.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum TelOp {
     BufferPush(u32),
     BufferPop(u32),
     HopArrived { packet: u32, r: u32, port: u8, at: u64 },
-    VaStall,
+    VaStalls(u64),
     HopVa { packet: u32 },
-    CreditStall,
+    CreditStalls(u64),
     HopCredit { packet: u32 },
     SaStalls(u64),
     Grant { r: u32, out: u8, is_rf: bool, packet: u32, first: bool },
@@ -214,6 +219,9 @@ pub(super) struct ShardBuf {
     pub tel_ops: Vec<TelOp>,
     /// Switch-allocation request scratch, one list per output slot.
     pub sa_requests: Vec<Vec<(u8, u16, i8)>>,
+    /// Credit stalls counted during the current router's switch
+    /// allocation (telemetry on only); drained once per visit.
+    pub credit_stalls: u64,
     /// Scalar statistics deltas, added to `RunStats` at replay.
     pub ejected_flits: u64,
     pub flit_latency_sum: u64,
@@ -313,7 +321,7 @@ impl Sweep<'_> {
             unreachable!("tree multicast allocates packets mid-sweep; it runs serial")
         };
         packets.push(p);
-        let id = (packets.len() - 1) as u32;
+        let id = packet_id(packets.len());
         if let TelSink::Direct(t) = &mut self.tel {
             t.on_packet_created(id, &packets[id as usize]);
         }

@@ -790,9 +790,9 @@ impl TelemetryState {
             Op::HopArrived { packet, r, port, at } => {
                 self.on_hop_arrived(packet, r as usize, port as usize, at);
             }
-            Op::VaStall => self.on_va_stall(),
+            Op::VaStalls(count) => self.on_va_stalls(count),
             Op::HopVa { packet } => self.on_hop_va(packet, now),
-            Op::CreditStall => self.on_credit_stall(),
+            Op::CreditStalls(count) => self.on_credit_stalls(count),
             Op::HopCredit { packet } => self.on_hop_credit(packet),
             Op::SaStalls(count) => self.on_sa_stalls(count),
             Op::Grant { r, out, is_rf, packet, first } => {
@@ -870,17 +870,17 @@ impl TelemetryState {
         }
     }
 
-    /// Records a grant refused for lack of downstream credits.
-    fn on_credit_stall(&mut self) {
+    /// Records `count` grants refused for lack of downstream credits.
+    fn on_credit_stalls(&mut self, count: u64) {
         if self.on(ChannelMask::STALLS) {
-            self.cur.credit_stalls += 1;
+            self.cur.credit_stalls += count;
         }
     }
 
-    /// Records a failed VC allocation attempt.
-    fn on_va_stall(&mut self) {
+    /// Records `count` failed VC allocation attempts.
+    fn on_va_stalls(&mut self, count: u64) {
         if self.on(ChannelMask::STALLS) {
-            self.cur.va_stalls += 1;
+            self.cur.va_stalls += count;
         }
     }
 

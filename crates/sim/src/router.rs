@@ -6,7 +6,15 @@
 //! four N/S/E/W directions, ring stations two, ring gateways six). Slot
 //! `base` is the local port to the attached core/cache/memory element and
 //! slot `base + 1` the RF-I transmitter/receiver port (paper §3.2). Absent
-//! ports within the base range are marked non-existent.
+//! ports within the base range are marked non-existent and allocate no VC
+//! or flit storage.
+//!
+//! Flit storage is flat: each existing input port owns one `Vec<Flit>` of
+//! `vcs × depth` slots, and VC `v` uses slots `v·depth .. (v+1)·depth` as
+//! a ring whose `head`/`len` live in its [`VcState`]. Credits cap a VC at
+//! `depth` flits, so a ring never grows. A head blocked at VC allocation
+//! retries from the route cached in its `VcState` (see
+//! [`VcState::route_epoch`]) instead of recomputing it every cycle.
 
 use crate::flit::Flit;
 use std::collections::VecDeque;
@@ -37,11 +45,15 @@ pub(crate) struct McBranch {
     pub packet: u32,
 }
 
-/// State of one input virtual channel.
+/// State of one input virtual channel. Its flits sit in the owning
+/// [`InputPort`]'s ring storage: `len` flits from slot `head` onwards,
+/// wrapping at the port's depth.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct VcState {
-    /// Buffered flits, in order.
-    pub buffer: VecDeque<Flit>,
+    /// Ring slot of the front flit (`< depth`).
+    pub head: u32,
+    /// Buffered flits (`<= depth`).
+    pub len: u32,
     /// Packet currently occupying this VC (claimed head → tail).
     pub cur_packet: Option<u32>,
     /// Unicast allocation: output port (valid when `allocated`).
@@ -62,6 +74,20 @@ pub(crate) struct VcState {
     /// Consecutive cycles the head flit has failed VC allocation (drives
     /// the shortcut contention-avoidance detour).
     pub va_blocked: u32,
+    /// Route cache of a unicast head: valid while it equals the network's
+    /// route epoch, which every routing-table rewrite bumps; 0 (never a
+    /// live epoch) means empty. Filled on the head's first VA attempt at
+    /// this hop, so a blocked head's retries read the destination and
+    /// both candidate ports from here (`route_port` already reflects the
+    /// packet's `mesh_only` flag).
+    pub route_epoch: u32,
+    /// Cached unicast destination.
+    pub route_dest: u32,
+    /// Cached escape (base-fabric) output port toward `route_dest`.
+    pub route_escape: u8,
+    /// Cached adaptive-class output port: the table route, or the escape
+    /// port for a `mesh_only` packet or an XY-routed network.
+    pub route_port: u8,
 }
 
 impl VcState {
@@ -73,6 +99,7 @@ impl VcState {
         self.mc_front_sent = 0;
         self.mc_routed = false;
         self.va_blocked = 0;
+        self.route_epoch = 0;
     }
 
     /// Whether every multicast branch has received the front flit.
@@ -83,14 +110,19 @@ impl VcState {
     }
 }
 
-/// One input port: its VCs, pending link deliveries, and the upstream
-/// output port to return credits to.
+/// One input port: its VCs and their flit rings, pending link
+/// deliveries, and the upstream output port to return credits to.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct InputPort {
     /// Whether this port physically exists on this router.
     pub exists: bool,
     /// Virtual channel state.
     pub vcs: Vec<VcState>,
+    /// Ring slots per VC (the VC buffer depth).
+    pub depth: u32,
+    /// Flit storage: VC `v` owns `flits[v·depth .. (v+1)·depth]`. Empty
+    /// on an absent port.
+    pub flits: Vec<Flit>,
     /// In-flight flits from the upstream link: `(arrival_cycle, vc, flit)`,
     /// in arrival order.
     pub arrivals: VecDeque<(u64, u16, Flit)>,
@@ -99,6 +131,67 @@ pub(crate) struct InputPort {
     pub upstream: Option<(usize, u8)>,
     /// Indices of currently claimed VCs (fast scan of active channels).
     pub occupied: Vec<u16>,
+}
+
+impl InputPort {
+    /// An existing port with `vcs` VCs of `depth` flit slots each, fed by
+    /// `upstream` (`None` for the local injection port).
+    pub fn new(vcs: usize, depth: u32, upstream: Option<(usize, u8)>) -> Self {
+        Self {
+            exists: true,
+            vcs: vec![VcState::default(); vcs],
+            depth,
+            flits: vec![Flit { packet: 0, idx: 0, eligible: 0 }; vcs * depth as usize],
+            upstream,
+            ..Self::default()
+        }
+    }
+
+    /// The front flit of VC `vc`, if any.
+    #[inline]
+    pub fn front(&self, vc: usize) -> Option<&Flit> {
+        let v = &self.vcs[vc];
+        (v.len > 0).then(|| &self.flits[vc * self.depth as usize + v.head as usize])
+    }
+
+    /// The front flit of VC `vc`, mutably.
+    #[inline]
+    pub fn front_mut(&mut self, vc: usize) -> Option<&mut Flit> {
+        let v = &self.vcs[vc];
+        (v.len > 0).then(|| &mut self.flits[vc * self.depth as usize + v.head as usize])
+    }
+
+    /// Appends `flit` to VC `vc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the VC already holds `depth` flits (credit flow control
+    /// makes that unreachable).
+    #[inline]
+    pub fn push(&mut self, vc: usize, flit: Flit) {
+        let depth = self.depth;
+        let v = &mut self.vcs[vc];
+        assert!(v.len < depth, "flit pushed onto a full VC (credit overrun)");
+        let mut slot = v.head + v.len;
+        if slot >= depth {
+            slot -= depth;
+        }
+        v.len += 1;
+        self.flits[vc * depth as usize + slot as usize] = flit;
+    }
+
+    /// Drops the front flit of VC `vc`, which must hold one.
+    #[inline]
+    pub fn pop(&mut self, vc: usize) {
+        let depth = self.depth;
+        let v = &mut self.vcs[vc];
+        debug_assert!(v.len > 0, "pop from an empty VC");
+        v.len -= 1;
+        v.head += 1;
+        if v.head == depth {
+            v.head = 0;
+        }
+    }
 }
 
 /// Per-VC bookkeeping on an output port.
@@ -326,11 +419,7 @@ mod tests {
     #[test]
     fn quiescent_tracks_every_work_source() {
         let mut r = Router {
-            inputs: vec![InputPort {
-                exists: true,
-                vcs: vec![VcState::default(); 2],
-                ..InputPort::default()
-            }],
+            inputs: vec![InputPort::new(2, 4, None)],
             injector: Injector::new(2, 4),
             ..Router::default()
         };
@@ -357,13 +446,7 @@ mod tests {
     #[test]
     fn claim_release_tracks_occupied() {
         let mut r = Router {
-            inputs: vec![InputPort {
-                exists: true,
-                vcs: vec![VcState::default(); 4],
-                arrivals: VecDeque::new(),
-                upstream: None,
-                occupied: Vec::new(),
-            }],
+            inputs: vec![InputPort::new(4, 4, None)],
             ..Router::default()
         };
         r.claim_vc(0, 2, 11);
@@ -372,5 +455,50 @@ mod tests {
         r.release_vc(0, 2);
         assert!(r.inputs[0].occupied.is_empty());
         assert!(r.inputs[0].vcs[2].cur_packet.is_none());
+    }
+
+    fn flit(idx: u32) -> Flit {
+        Flit { packet: 5, idx, eligible: 0 }
+    }
+
+    #[test]
+    fn ring_wraps_and_keeps_vcs_apart() {
+        for depth in [1u32, 3, 4] {
+            let mut p = InputPort::new(2, depth, None);
+            assert_eq!(p.flits.len(), 2 * depth as usize);
+            let mut next = 0;
+            let mut expect_front = 0;
+            // Keep VC 1 full-ish and cycle VC 0 through several wraps.
+            p.push(1, flit(99));
+            for _ in 0..3 * depth {
+                while p.vcs[0].len < depth {
+                    p.push(0, flit(next));
+                    next += 1;
+                }
+                assert_eq!(p.front(0).map(|f| f.idx), Some(expect_front));
+                p.pop(0);
+                expect_front += 1;
+                assert!(p.vcs[0].head < depth);
+            }
+            while p.vcs[0].len > 0 {
+                assert_eq!(p.front(0).map(|f| f.idx), Some(expect_front));
+                p.pop(0);
+                expect_front += 1;
+            }
+            assert_eq!(expect_front, next, "depth {depth}: every flit popped in order");
+            assert!(p.front(0).is_none());
+            assert_eq!(p.front(1).map(|f| f.idx), Some(99), "depth {depth}: VC 1 untouched");
+            p.front_mut(1).expect("buffered").eligible = 7;
+            assert_eq!(p.front(1).map(|f| f.eligible), Some(7));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "full VC")]
+    fn ring_push_past_depth_panics() {
+        let mut p = InputPort::new(1, 3, None);
+        for i in 0..4 {
+            p.push(0, flit(i));
+        }
     }
 }
