@@ -246,6 +246,117 @@ impl TrajectoryPoint {
     }
 }
 
+/// One timed configuration of the simulator-throughput benchmark
+/// (`bench_perf`): a row of `BENCH_sim_throughput*.json`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ThroughputRow {
+    /// The headline metrics, as the row's BENCH_trajectory point carries
+    /// them: id, cycles/sec, flit grants/sec, shard balance, spread.
+    pub point: TrajectoryPoint,
+    /// What the configuration simulates.
+    pub description: String,
+    /// Simulated cycles of the best repeat.
+    pub cycles: u64,
+    /// Switch-allocator flit grants of the best repeat.
+    pub flit_grants: u64,
+    /// Wall milliseconds of the best repeat.
+    pub wall_ms: f64,
+    /// Messages completed.
+    pub completed_messages: u64,
+    /// Mean message latency in cycles.
+    pub avg_latency_cycles: f64,
+    /// Whether the run saturated.
+    pub saturated: bool,
+}
+
+/// How a `bench_perf` run was configured; the instrumentation flags also
+/// name its artifact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ThroughputRun {
+    /// Short CI-smoke repetitions.
+    pub quick: bool,
+    /// Telemetry enabled on every timed run.
+    pub telemetry: bool,
+    /// Run ledger enabled on every timed run.
+    pub ledger: bool,
+    /// Measured cycles per 10×10 config.
+    pub measure_cycles: u64,
+    /// Repeats per 10×10 config (best-of-N).
+    pub reps: usize,
+}
+
+impl ThroughputRun {
+    /// The artifact name: `BENCH_sim_throughput`, with a `_telemetry` or
+    /// `_ledger` suffix for the instrumented runs.
+    pub fn name(&self) -> &'static str {
+        if self.telemetry {
+            "BENCH_sim_throughput_telemetry"
+        } else if self.ledger {
+            "BENCH_sim_throughput_ledger"
+        } else {
+            "BENCH_sim_throughput"
+        }
+    }
+}
+
+/// Renders the `BENCH_sim_throughput*.json` document of one `bench_perf`
+/// run.
+pub fn render_throughput(
+    run: &ThroughputRun,
+    git: &str,
+    unix: u64,
+    rows: &[ThroughputRow],
+) -> String {
+    let mut out = String::from("{\n");
+    let _ = writeln!(out, "  \"name\": {},", json_str(run.name()));
+    let _ = writeln!(out, "  \"git\": {},", json_str(git));
+    let _ = writeln!(out, "  \"generated_unix\": {unix},");
+    let _ = writeln!(out, "  \"quick\": {},", run.quick);
+    let _ = writeln!(out, "  \"telemetry\": {},", run.telemetry);
+    let _ = writeln!(out, "  \"ledger\": {},", run.ledger);
+    let _ = writeln!(out, "  \"measure_cycles\": {},", run.measure_cycles);
+    let _ = writeln!(out, "  \"reps\": {},", run.reps);
+    out.push_str("  \"configs\": [\n");
+    for (i, r) in rows.iter().enumerate() {
+        let p = &r.point;
+        let _ = write!(
+            out,
+            "    {{\"id\": {}, \"description\": {}, \"cycles\": {}, \"flit_grants\": {}, \
+             \"wall_ms\": {}, \"cycles_per_sec\": {}, \"flit_grants_per_sec\": {}, \
+             \"completed_messages\": {}, \"avg_latency_cycles\": {}, \"saturated\": {}",
+            json_str(&p.id),
+            json_str(&r.description),
+            r.cycles,
+            r.flit_grants,
+            json_f64(r.wall_ms),
+            json_f64(p.cycles_per_sec),
+            json_f64(p.flit_grants_per_sec),
+            r.completed_messages,
+            json_f64(r.avg_latency_cycles),
+            r.saturated,
+        );
+        if let Some(v) = p.shard_imbalance {
+            let _ = write!(out, ", \"shard_imbalance\": {}", json_f64(v));
+        }
+        if let Some(v) = p.barrier_wait_frac {
+            let _ = write!(out, ", \"barrier_wait_frac\": {}", json_f64(v));
+        }
+        if let Some(sp) = p.spread {
+            let _ = write!(
+                out,
+                ", \"cycles_per_sec_spread_min\": {}, \"cycles_per_sec_spread_max\": {}, \
+                 \"cycles_per_sec_spread_stddev\": {}",
+                json_f64(sp.min),
+                json_f64(sp.max),
+                json_f64(sp.stddev),
+            );
+        }
+        out.push_str(if i + 1 < rows.len() { "},\n" } else { "}\n" });
+    }
+    out.push_str("  ]\n}\n");
+    out
+}
+
 /// Renders one BENCH_trajectory row: provenance plus the headline
 /// throughput of each config. The row is itself a complete artifact, so a
 /// row extracted from the trajectory diffs cleanly against another row.
@@ -380,12 +491,54 @@ mod tests {
             )])
             .sims(vec![labeled("short", sim)])
             .expand();
-        let results = run_plan(&plan, &RunnerConfig { jobs: 1, quiet: true, ..RunnerConfig::default() });
-        let json = render_json("artifact_test", &results);
-        let doc = rfnoc::json::parse(&json).expect("the artifact parses as JSON");
-        assert_eq!(doc.get("name").and_then(rfnoc::json::Json::as_str), Some("artifact_test"));
-        assert_eq!(doc.get("points_total"), Some(&rfnoc::json::Json::Num(1.0)));
-        let flat = rfnoc::compare::flatten(&doc);
+        let cfg = RunnerConfig { jobs: 2, quiet: true, ..RunnerConfig::default() };
+        let results = run_plan(&plan, &cfg);
+        let json = render_json("run_all", &results);
+        let artifact = rfnoc::validate::Artifact::parse(&json, "run_all").unwrap();
+        let num = |key| artifact.doc.get(key).and_then(rfnoc::json::Json::as_f64);
+        assert_eq!((num("jobs"), num("points_total")), (Some(results.jobs as f64), Some(1.0)));
+        let flat = rfnoc::compare::flatten(&artifact.doc);
         assert!(flat.contains_key("points[artifact].avg_latency_cycles"), "{flat:?}");
+        let report = rfnoc::validate::check(&[artifact]);
+        assert!(report.problems.is_empty(), "{:?}", report.problems);
+    }
+
+    #[test]
+    fn throughput_artifact_names_its_flags_and_validates() {
+        let rows: Vec<ThroughputRow> = ["a", "b", "c", "d", "e"]
+            .iter()
+            .map(|id| ThroughputRow {
+                point: TrajectoryPoint::new(*id, 5e5, 1.5e5),
+                description: "test".into(),
+                cycles: 1000,
+                flit_grants: 300,
+                wall_ms: 2.0,
+                completed_messages: 40,
+                avg_latency_cycles: 21.0,
+                saturated: false,
+            })
+            .collect();
+        let base = ThroughputRun {
+            quick: true,
+            telemetry: false,
+            ledger: false,
+            measure_cycles: 9,
+            reps: 2,
+        };
+        for (run, name) in [
+            (base, "BENCH_sim_throughput"),
+            (ThroughputRun { telemetry: true, ..base }, "BENCH_sim_throughput_telemetry"),
+            (ThroughputRun { ledger: true, ..base }, "BENCH_sim_throughput_ledger"),
+        ] {
+            let json = render_throughput(&run, "g", 1, &rows);
+            let artifact = rfnoc::validate::Artifact::parse(&json, name).unwrap();
+            assert_eq!(artifact.name, name);
+            let flag = |key| artifact.doc.get(key).and_then(rfnoc::json::Json::as_bool);
+            assert_eq!(flag("quick"), Some(true));
+            assert_eq!(flag("telemetry"), Some(run.telemetry));
+            assert_eq!(flag("ledger"), Some(run.ledger));
+            let report = rfnoc::validate::check(&[artifact]);
+            assert!(report.problems.is_empty(), "{:?}", report.problems);
+        }
     }
 }

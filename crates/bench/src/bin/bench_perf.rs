@@ -39,15 +39,14 @@
 //! override or disable with `RFNOC_HISTORY`).
 
 use rfnoc_bench::artifact::{
-    append_trajectory, git_describe, ingest_history, json_f64, json_str, MetricSpread,
-    TrajectoryPoint,
+    append_trajectory, git_describe, ingest_history, render_throughput, MetricSpread,
+    ThroughputRow, ThroughputRun, TrajectoryPoint,
 };
 use rfnoc_sim::{
     LedgerConfig, LedgerRecord, McConfig, MessageClass, MessageSpec, MulticastMode, Network,
     NetworkSpec, RunStats, SimConfig, TelemetryConfig, Workload,
 };
 use rfnoc_topology::{GridDims, Shortcut};
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// Deterministic xorshift-driven synthetic traffic, mirroring the golden
@@ -252,29 +251,38 @@ fn run_scale(threads: usize, measure_cycles: u64, quick: bool, ledger: bool) -> 
 }
 
 /// Reduces a ledger-instrumented run's shard records to the two scaling
-/// metrics: `(shard_imbalance, barrier_wait_frac)` — max/mean per-shard
-/// total sweep time, and the barrier share of the sweep-phase wall.
+/// metrics, `(shard_imbalance, barrier_wait_frac)`, with the same
+/// reduction `rfnoc-cli ledger-summary` applies to a ledger file.
 /// `(None, None)` without a ledger or without shard records (serial run).
 fn shard_metrics(stats: &RunStats) -> (Option<f64>, Option<f64>) {
-    let Some(report) = &stats.ledger else { return (None, None) };
-    let mut per_shard: std::collections::BTreeMap<u32, f64> = std::collections::BTreeMap::new();
-    let (mut sweep_total, mut barrier_total) = (0.0f64, 0.0f64);
-    for r in &report.records {
+    let mut summary = rfnoc::ledger::LedgerSummary::default();
+    for r in stats.ledger.iter().flat_map(|l| &l.records) {
         if let LedgerRecord::Shard { shard, sweep_ms, barrier_ms, .. } = r {
-            *per_shard.entry(*shard).or_insert(0.0) += sweep_ms;
-            sweep_total += sweep_ms;
-            barrier_total += barrier_ms;
+            let totals = summary.shards.entry(u64::from(*shard)).or_default();
+            totals.sweep_ms += sweep_ms;
+            totals.barrier_ms += barrier_ms;
         }
     }
-    if per_shard.is_empty() {
-        return (None, None);
+    (summary.shard_imbalance(), summary.barrier_wait_frac())
+}
+
+/// The artifact row of a config's best repeat; `rep_cps` are every
+/// repeat's cycles/sec (the noise spread).
+fn timed_row(id: &str, description: &str, s: &Sample, rep_cps: &[f64]) -> ThroughputRow {
+    let secs = s.wall.as_secs_f64().max(1e-9);
+    let grants: u64 = s.stats.port_flits.iter().sum();
+    let mut point = TrajectoryPoint::new(id, s.stats.end_cycle as f64 / secs, grants as f64 / secs);
+    point.spread = MetricSpread::of(rep_cps);
+    ThroughputRow {
+        point,
+        description: description.to_string(),
+        cycles: s.stats.end_cycle,
+        flit_grants: grants,
+        wall_ms: secs * 1e3,
+        completed_messages: s.stats.completed_messages,
+        avg_latency_cycles: s.stats.avg_message_latency(),
+        saturated: s.stats.saturated,
     }
-    let mean = sweep_total / per_shard.len() as f64;
-    let max = per_shard.values().copied().fold(0.0, f64::max);
-    let imbalance = if mean > 0.0 { max / mean } else { 1.0 };
-    let total = sweep_total + barrier_total;
-    let frac = if total > 0.0 { barrier_total / total } else { 0.0 };
-    (Some(imbalance), Some(frac))
 }
 
 fn main() {
@@ -296,13 +304,8 @@ fn main() {
     // short configs are noisy enough to flake the CI telemetry-overhead
     // comparison.
     let (measure_cycles, reps) = if quick { (4_000, 2) } else { (40_000, 3) };
-    let name = if telemetry {
-        "BENCH_sim_throughput_telemetry"
-    } else if ledger {
-        "BENCH_sim_throughput_ledger"
-    } else {
-        "BENCH_sim_throughput"
-    };
+    let run = ThroughputRun { quick, telemetry, ledger, measure_cycles, reps };
+    let name = run.name();
     let git = git_describe();
     eprintln!(
         "bench_perf: {} configs x {reps} reps, {measure_cycles} measured cycles each ({}{}{}{})",
@@ -313,8 +316,7 @@ fn main() {
         if sim_threads > 1 { ", sharded engine" } else { "" },
     );
 
-    let mut rows = String::new();
-    let mut trajectory: Vec<TrajectoryPoint> = Vec::new();
+    let mut rows: Vec<ThroughputRow> = Vec::new();
     for bc in CONFIGS.iter() {
         // Best-of-N wall time: the least-perturbed run of a deterministic
         // simulation is the most faithful throughput estimate. The spread
@@ -328,53 +330,17 @@ fn main() {
                 best = Some(s);
             }
         }
-        let spread = MetricSpread::of(&rep_cps);
-        let s = best.expect("at least one rep");
-        let secs = s.wall.as_secs_f64().max(1e-9);
-        let cycles = s.stats.end_cycle;
-        let grants: u64 = s.stats.port_flits.iter().sum();
-        let cps = cycles as f64 / secs;
-        let gps = grants as f64 / secs;
-        let mut point = TrajectoryPoint::new(bc.id, cps, gps);
-        point.spread = spread;
-        trajectory.push(point);
+        let row = timed_row(bc.id, bc.description, &best.expect("at least one rep"), &rep_cps);
         eprintln!(
-            "  {:<22} {:>9.0} kcycles/s  {:>9.0} kgrants/s  ({} cycles in {:.1?}{})",
-            bc.id,
-            cps / 1e3,
-            gps / 1e3,
-            cycles,
-            s.wall,
-            if s.stats.saturated { ", saturated" } else { "" },
+            "  {:<22} {:>9.0} kcycles/s  {:>9.0} kgrants/s  ({} cycles in {:.1} ms{})",
+            row.point.id,
+            row.point.cycles_per_sec / 1e3,
+            row.point.flit_grants_per_sec / 1e3,
+            row.cycles,
+            row.wall_ms,
+            if row.saturated { ", saturated" } else { "" },
         );
-        let mut spread_fields = String::new();
-        if let Some(sp) = spread {
-            let _ = write!(
-                spread_fields,
-                ", \"cycles_per_sec_spread_min\": {}, \"cycles_per_sec_spread_max\": {}, \
-                 \"cycles_per_sec_spread_stddev\": {}",
-                json_f64(sp.min),
-                json_f64(sp.max),
-                json_f64(sp.stddev),
-            );
-        }
-        let _ = writeln!(
-            rows,
-            "    {{\"id\": {}, \"description\": {}, \"cycles\": {}, \"flit_grants\": {}, \
-             \"wall_ms\": {}, \"cycles_per_sec\": {}, \"flit_grants_per_sec\": {}, \
-             \"completed_messages\": {}, \"avg_latency_cycles\": {}, \"saturated\": {}{}}},",
-            json_str(bc.id),
-            json_str(bc.description),
-            cycles,
-            grants,
-            json_f64(secs * 1e3),
-            json_f64(cps),
-            json_f64(gps),
-            s.stats.completed_messages,
-            json_f64(s.stats.avg_message_latency()),
-            s.stats.saturated,
-            spread_fields,
-        );
+        rows.push(row);
     }
 
     // Thread-scaling sweep: the saturated 64×64 mesh at 1 thread, and at
@@ -386,8 +352,8 @@ fn main() {
     if sim_threads > 1 {
         scale_threads.push(sim_threads);
     }
-    let mut serial_wall: Option<Duration> = None;
-    for (k, &threads) in scale_threads.iter().enumerate() {
+    let mut serial_wall_ms: Option<f64> = None;
+    for &threads in &scale_threads {
         let mut best: Option<Sample> = None;
         let mut rep_cps: Vec<f64> = Vec::with_capacity(scale_reps);
         for _ in 0..scale_reps {
@@ -397,113 +363,50 @@ fn main() {
                 best = Some(s);
             }
         }
-        let spread = MetricSpread::of(&rep_cps);
         let s = best.expect("at least one rep");
-        let secs = s.wall.as_secs_f64().max(1e-9);
-        let cycles = s.stats.end_cycle;
-        let grants: u64 = s.stats.port_flits.iter().sum();
-        let (cps, gps) = (cycles as f64 / secs, grants as f64 / secs);
+        let description =
+            format!("64x64 mesh, XY, saturating injection, {threads} engine thread(s)");
         let id = format!("mesh64x64_saturated_t{threads}");
-        let speedup = serial_wall
-            .map(|w1| w1.as_secs_f64() / secs)
-            .filter(|_| threads > 1);
+        let mut row = timed_row(&id, &description, &s, &rep_cps);
+        let speedup = serial_wall_ms.map(|w1| w1 / row.wall_ms).filter(|_| threads > 1);
         if threads == 1 {
-            serial_wall = Some(s.wall);
+            serial_wall_ms = Some(row.wall_ms);
         }
         // Shard balance for threaded rows: read the timed run's ledger if
         // it had one (`--ledger`), else run once more instrumented so the
         // timed wall stays comparable across the trajectory.
-        let (imbalance, barrier_frac) = if threads > 1 {
-            if ledger {
+        if threads > 1 {
+            (row.point.shard_imbalance, row.point.barrier_wait_frac) = if ledger {
                 shard_metrics(&s.stats)
             } else {
                 shard_metrics(&run_scale(threads, scale_cycles, quick, true).stats)
-            }
-        } else {
-            (None, None)
-        };
+            };
+        }
         eprintln!(
-            "  {:<22} {:>9.0} kcycles/s  {:>9.0} kgrants/s  ({} cycles in {:.1?}{}{})",
-            id,
-            cps / 1e3,
-            gps / 1e3,
-            cycles,
-            s.wall,
+            "  {:<22} {:>9.0} kcycles/s  {:>9.0} kgrants/s  ({} cycles in {:.1} ms{}{})",
+            row.point.id,
+            row.point.cycles_per_sec / 1e3,
+            row.point.flit_grants_per_sec / 1e3,
+            row.cycles,
+            row.wall_ms,
             match speedup {
                 Some(x) => format!(", {x:.2}x vs 1 thread"),
                 None => String::new(),
             },
-            match (imbalance, barrier_frac) {
+            match (row.point.shard_imbalance, row.point.barrier_wait_frac) {
                 (Some(i), Some(b)) => {
                     format!(", imbalance {i:.2}x, barrier {:.1}%", b * 100.0)
                 }
                 _ => String::new(),
             },
         );
-        let mut shard_fields = String::new();
-        if let Some(v) = imbalance {
-            let _ = write!(shard_fields, ", \"shard_imbalance\": {}", json_f64(v));
-        }
-        if let Some(v) = barrier_frac {
-            let _ = write!(shard_fields, ", \"barrier_wait_frac\": {}", json_f64(v));
-        }
-        if let Some(sp) = spread {
-            let _ = write!(
-                shard_fields,
-                ", \"cycles_per_sec_spread_min\": {}, \"cycles_per_sec_spread_max\": {}, \
-                 \"cycles_per_sec_spread_stddev\": {}",
-                json_f64(sp.min),
-                json_f64(sp.max),
-                json_f64(sp.stddev),
-            );
-        }
-        let _ = writeln!(
-            rows,
-            "    {{\"id\": {}, \"description\": {}, \"cycles\": {}, \"flit_grants\": {}, \
-             \"wall_ms\": {}, \"cycles_per_sec\": {}, \"flit_grants_per_sec\": {}, \
-             \"completed_messages\": {}, \"avg_latency_cycles\": {}, \
-             \"saturated\": {}{}}}{}",
-            json_str(&id),
-            json_str(&format!(
-                "64x64 mesh, XY, saturating injection, {threads} engine thread(s)"
-            )),
-            cycles,
-            grants,
-            json_f64(secs * 1e3),
-            json_f64(cps),
-            json_f64(gps),
-            s.stats.completed_messages,
-            json_f64(s.stats.avg_message_latency()),
-            s.stats.saturated,
-            shard_fields,
-            if k + 1 == scale_threads.len() { "" } else { "," },
-        );
-        trajectory.push(TrajectoryPoint {
-            id,
-            cycles_per_sec: cps,
-            flit_grants_per_sec: gps,
-            shard_imbalance: imbalance,
-            barrier_wait_frac: barrier_frac,
-            spread,
-        });
+        rows.push(row);
     }
 
     let unix = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"name\": {},", json_str(name));
-    let _ = writeln!(out, "  \"git\": {},", json_str(&git));
-    let _ = writeln!(out, "  \"generated_unix\": {unix},");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"telemetry\": {telemetry},");
-    let _ = writeln!(out, "  \"ledger\": {ledger},");
-    let _ = writeln!(out, "  \"measure_cycles\": {measure_cycles},");
-    let _ = writeln!(out, "  \"reps\": {reps},");
-    out.push_str("  \"configs\": [\n");
-    out.push_str(&rows);
-    out.push_str("  ]\n}\n");
+    let out = render_throughput(&run, &git, unix, &rows);
 
     let path = std::path::PathBuf::from(format!("results/json/{name}.json"));
     if let Some(dir) = path.parent() {
@@ -520,6 +423,7 @@ fn main() {
     // Un-instrumented runs also extend the dated perf trajectory, the
     // baseline CI diffs fresh runs against with `rfnoc-cli compare`.
     if !telemetry && !ledger {
+        let trajectory: Vec<TrajectoryPoint> = rows.into_iter().map(|r| r.point).collect();
         append_trajectory(&git, unix, quick, &trajectory);
     }
 }

@@ -22,9 +22,7 @@ use rfnoc_bench::scenarios::{
     fault_cycle, fault_experiment, instrumented_experiment, rf_capacity, SATURATED_RATE,
 };
 use rfnoc_bench::svg::{render_link_heatmap, LinkHeatFigure};
-use rfnoc_bench::telemetry::{
-    self, covered_cycles, hottest_ports, link_utilization, print_timeline, PORT_NAMES,
-};
+use rfnoc_bench::telemetry::{self, covered_cycles, hottest_ports, link_utilization, PORT_NAMES};
 use rfnoc_sim::TelemetryReport;
 use rfnoc_traffic::Placement;
 
@@ -61,7 +59,7 @@ fn congestion_scenario(quick: bool) {
         tel.dropped_spans,
         stats.saturated,
     );
-    print_timeline(tel, 16);
+    print!("\n{}", rfnoc::timeline::render(tel, 16));
     print_hot_ports(tel);
 
     telemetry::write_json("TELEMETRY_congestion", stats, tel);
@@ -118,7 +116,7 @@ fn fault_scenario(quick: bool) {
     let tel = stats.telemetry.as_ref().expect("telemetry was enabled");
 
     println!("\n# Fault timeline: whole RF band down at cycle {fault_at}");
-    print_timeline(tel, 24);
+    print!("\n{}", rfnoc::timeline::render(tel, 24));
     telemetry::write_json("TELEMETRY_fault_timeline", stats, tel);
 
     // Sanity narration: RF utilization before vs after the fault interval.

@@ -600,9 +600,10 @@ mod tests {
             assert!(p.degradation[1].recovery.records > 0, "{:?}", p.profile);
         }
         let json = render_resilience_json("t", true, &summary);
-        let doc = rfnoc::json::parse(&json).expect("the artifact parses as JSON");
-        assert!(doc.get("profiles").is_some());
-        assert!(json.contains("\"id\": \"adversarial\""));
+        let artifact = rfnoc::validate::Artifact::parse(&json, "RESILIENCE_t").unwrap();
+        assert_eq!(artifact.doc.get("quick").and_then(rfnoc::json::Json::as_bool), Some(true));
+        let report = rfnoc::validate::check(&[artifact]);
+        assert!(report.problems.is_empty(), "{:?}", report.problems);
         assert!(json.contains("\"degradation_delta\""));
         assert!(!json.contains("wall_ms"), "artifact must stay wall-time free");
     }

@@ -885,24 +885,21 @@ fn render_mesh_scaling(results: &PlanResults, opts: &SuiteOptions) {
                 format!("{build_ms:.1}"),
                 format!("{cps:.0}"),
             ]);
-            for (label, r) in [("mesh-only", base), ("rf", rf)] {
-                let (cps, gps) = throughput(r);
-                points.push(format!(
-                    "{{\"side\": {side}, \"fabric\": {}, \"design\": {}, \
-                     \"avg_latency_cycles\": {}, \"avg_hops\": {}, \
-                     \"saturated\": {}, \"shortcuts\": {shortcuts}, \
-                     \"build_ms\": {}, \"sim_wall_ms\": {}, \
-                     \"cycles_per_sec\": {}, \"flit_grants_per_sec\": {}}}",
-                    artifact::json_str(fabric_kind),
-                    artifact::json_str(label),
-                    artifact::json_f64(r.report.avg_latency()),
-                    artifact::json_f64(r.report.stats.avg_hops()),
-                    r.report.stats.saturated,
-                    artifact::json_f64(build_ms),
-                    artifact::json_f64(r.wall.as_secs_f64() * 1e3),
-                    artifact::json_f64(cps),
-                    artifact::json_f64(gps),
-                ));
+            for (design, r) in [("mesh-only", base), ("rf", rf)] {
+                let (cycles_per_sec, flit_grants_per_sec) = throughput(r);
+                points.push(ScalingPoint {
+                    side,
+                    fabric: fabric_kind.to_string(),
+                    design,
+                    avg_latency_cycles: r.report.avg_latency(),
+                    avg_hops: r.report.stats.avg_hops(),
+                    saturated: r.report.stats.saturated,
+                    shortcuts,
+                    build_ms,
+                    sim_wall_ms: r.wall.as_secs_f64() * 1e3,
+                    cycles_per_sec,
+                    flit_grants_per_sec,
+                });
             }
             trajectory.push((format!("mesh_scaling_{side}x{side}_{fabric_kind}_rf"), cps, gps));
         }
@@ -955,24 +952,74 @@ fn render_mesh_scaling(results: &PlanResults, opts: &SuiteOptions) {
     );
 }
 
-/// Writes `results/json/BENCH_mesh_scaling.json`: the build-time and
-/// simulator-throughput record of the scaling sweep, validated by the CI
-/// `scaling-smoke` job.
-fn write_scaling_artifact(opts: &SuiteOptions, points: &[String]) {
-    let unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
+/// One design point of the scaling sweep: a row of
+/// `BENCH_mesh_scaling.json`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScalingPoint {
+    /// Grid side (the fabric is `side × side`).
+    pub side: usize,
+    /// `mesh` or `ring`.
+    pub fabric: String,
+    /// `mesh-only` or `rf`.
+    pub design: &'static str,
+    /// Mean message latency in cycles.
+    pub avg_latency_cycles: f64,
+    /// Mean hops per message.
+    pub avg_hops: f64,
+    /// Whether the run saturated.
+    pub saturated: bool,
+    /// RF shortcuts the selector placed at this size.
+    pub shortcuts: usize,
+    /// Wall milliseconds to build the RF design (shortcut selection).
+    pub build_ms: f64,
+    /// Wall milliseconds of the simulation.
+    pub sim_wall_ms: f64,
+    /// Simulated cycles per wall-clock second.
+    pub cycles_per_sec: f64,
+    /// Flit grants per wall-clock second.
+    pub flit_grants_per_sec: f64,
+}
+
+/// Renders `BENCH_mesh_scaling.json`: the build-time and
+/// simulator-throughput record of the scaling sweep.
+pub fn render_scaling_json(quick: bool, git: &str, unix: u64, points: &[ScalingPoint]) -> String {
     let mut out = String::from("{\n  \"name\": \"BENCH_mesh_scaling\",\n");
-    out.push_str(&format!("  \"git\": {},\n", artifact::json_str(&artifact::git_describe())));
+    out.push_str(&format!("  \"git\": {},\n", artifact::json_str(git)));
     out.push_str(&format!("  \"generated_unix\": {unix},\n"));
-    out.push_str(&format!("  \"quick\": {},\n", opts.quick));
+    out.push_str(&format!("  \"quick\": {quick},\n"));
     out.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(p);
+        out.push_str(&format!(
+            "    {{\"side\": {}, \"fabric\": {}, \"design\": {}, \
+             \"avg_latency_cycles\": {}, \"avg_hops\": {}, \
+             \"saturated\": {}, \"shortcuts\": {}, \
+             \"build_ms\": {}, \"sim_wall_ms\": {}, \
+             \"cycles_per_sec\": {}, \"flit_grants_per_sec\": {}}}",
+            p.side,
+            artifact::json_str(&p.fabric),
+            artifact::json_str(p.design),
+            artifact::json_f64(p.avg_latency_cycles),
+            artifact::json_f64(p.avg_hops),
+            p.saturated,
+            p.shortcuts,
+            artifact::json_f64(p.build_ms),
+            artifact::json_f64(p.sim_wall_ms),
+            artifact::json_f64(p.cycles_per_sec),
+            artifact::json_f64(p.flit_grants_per_sec),
+        ));
         out.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ]\n}\n");
+    out
+}
+
+/// Writes `results/json/BENCH_mesh_scaling.json`, validated by the CI
+/// `scaling-smoke` job.
+fn write_scaling_artifact(opts: &SuiteOptions, points: &[ScalingPoint]) {
+    let unix = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs());
+    let out = render_scaling_json(opts.quick, &artifact::git_describe(), unix, points);
     let path = "results/json/BENCH_mesh_scaling.json";
     if let Some(dir) = std::path::Path::new(path).parent() {
         let _ = std::fs::create_dir_all(dir);
@@ -1280,6 +1327,34 @@ mod tests {
         );
         assert_eq!(names(&["tune"], false), ["tune_load"], "a filter reaches probes");
         assert!(names(&["no_such_figure"], false).is_empty());
+    }
+
+    #[test]
+    fn scaling_artifact_records_quick_and_validates() {
+        let mut points = Vec::new();
+        for side in scaling_sides(&SuiteOptions { quick: true }) {
+            let grid = [("mesh", "mesh-only"), ("mesh", "rf"), ("ring", "mesh-only"), ("ring", "rf")];
+            for (fabric, design) in grid {
+                points.push(ScalingPoint {
+                    side,
+                    fabric: fabric.into(),
+                    design,
+                    avg_latency_cycles: 20.0,
+                    avg_hops: 3.0,
+                    saturated: false,
+                    shortcuts: 16,
+                    build_ms: 40.0,
+                    sim_wall_ms: 9.0,
+                    cycles_per_sec: 1e5,
+                    flit_grants_per_sec: 1e4,
+                });
+            }
+        }
+        let json = render_scaling_json(true, "g", 1, &points);
+        let artifact = rfnoc::validate::Artifact::parse(&json, "BENCH_mesh_scaling").unwrap();
+        assert_eq!(artifact.doc.get("quick").and_then(rfnoc::json::Json::as_bool), Some(true));
+        let report = rfnoc::validate::check(&[artifact]);
+        assert!(report.problems.is_empty(), "{:?}", report.problems);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Telemetry artifacts: JSON export, link-utilization helpers, and a
-//! terminal timeline table for [`rfnoc_sim::TelemetryReport`] time series.
+//! Telemetry artifacts: JSON export and link-utilization helpers for
+//! [`rfnoc_sim::TelemetryReport`] time series.
 //!
 //! The simulator's telemetry layer produces interval samples, packet
 //! spans, and a fault/retune event timeline; this module turns one run's
 //! report into the repo's standard artifacts: `results/json/<name>.json`
-//! (hand-rolled flat JSON, like `artifact.rs`) and a per-interval table
-//! on stdout. The SVG congestion heatmap lives in [`crate::svg`].
+//! (hand-rolled flat JSON, like `artifact.rs`). The per-interval table is
+//! [`rfnoc::timeline::render`]; the SVG congestion heatmap lives in
+//! [`crate::svg`].
 
 use crate::artifact::{git_describe, json_f64, json_str};
 use rfnoc_sim::{latency_bucket_bounds, RunStats, TelemetryReport, LATENCY_BUCKETS};
@@ -101,21 +102,6 @@ pub fn hottest_ports(report: &TelemetryReport, k: usize) -> Vec<(usize, usize, u
     ports
 }
 
-/// Mean mesh-link utilization of one interval sample (ports N/S/E/W over
-/// every router, capacity 1 flit/cycle).
-pub fn sample_mesh_utilization(report: &TelemetryReport, i: usize) -> f64 {
-    let s = &report.samples[i];
-    if s.cycles == 0 || s.port_grants.is_empty() {
-        return 0.0;
-    }
-    let slots = fabric_slots(report).max(1);
-    let ports = report.ports;
-    let mesh: u64 = (0..report.routers)
-        .flat_map(|r| (0..slots).map(move |p| s.port_grants[r * ports + p]))
-        .sum();
-    mesh as f64 / (s.cycles as f64 * (report.routers * slots) as f64)
-}
-
 /// Renders the full telemetry JSON artifact for one run.
 ///
 /// The schema is flat: run provenance, whole-run link totals, the
@@ -200,7 +186,7 @@ pub fn render_json(name: &str, stats: &RunStats, report: &TelemetryReport) -> St
         let _ = write!(
             out,
             "\"mesh_utilization\": {}, ",
-            json_f64(sample_mesh_utilization(report, i))
+            json_f64(report.sample_mesh_utilization(i))
         );
         let peak = s.buffered_peak.iter().copied().max().unwrap_or(0);
         let _ = write!(out, "\"peak_buffered\": {peak}, ");
@@ -246,39 +232,6 @@ pub fn write_json(name: &str, stats: &RunStats, report: &TelemetryReport) -> Opt
     }
 }
 
-/// Prints the per-interval timeline table: rates, mesh utilization, peak
-/// occupancy, stall mix, and the events that fell inside each interval.
-/// Long runs are subsampled to at most `max_rows` evenly spaced rows
-/// (event-bearing intervals are always kept).
-pub fn print_timeline(report: &TelemetryReport, max_rows: usize) {
-    println!(
-        "\n{:>14} {:>8} {:>8} {:>9} {:>8} {:>8} {:>18}  events",
-        "interval", "inj/cyc", "cmp/cyc", "mesh-util", "rf/cyc", "peak-buf", "va/sa/credit"
-    );
-    let n = report.samples.len();
-    let stride = n.div_ceil(max_rows.max(1)).max(1);
-    for (i, s) in report.samples.iter().enumerate() {
-        let events: Vec<String> =
-            report.events_in_sample(i).map(|e| e.kind.to_string()).collect();
-        if i % stride != 0 && events.is_empty() && i + 1 != n {
-            continue;
-        }
-        let cycles = s.cycles.max(1) as f64;
-        let peak = s.buffered_peak.iter().copied().max().unwrap_or(0);
-        println!(
-            "{:>14} {:>8.3} {:>8.3} {:>8.1}% {:>8.3} {:>8} {:>18}  {}",
-            format!("[{}, {})", s.start, s.start + s.cycles),
-            s.injected as f64 / cycles,
-            s.completed_packets as f64 / cycles,
-            sample_mesh_utilization(report, i) * 100.0,
-            s.rf_grants as f64 / cycles,
-            peak,
-            format!("{}/{}/{}", s.va_stalls, s.sa_stalls, s.credit_stalls),
-            if events.is_empty() { "-".to_string() } else { events.join("; ") },
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,20 +265,9 @@ mod tests {
         let stats = telemetry_run();
         let report = stats.telemetry.as_ref().expect("telemetry on");
         let json = render_json("TELEMETRY_test", &stats, report);
-        let doc = rfnoc::json::parse(&json).expect("the artifact parses as JSON");
-        assert_eq!(doc.get("name").and_then(rfnoc::json::Json::as_str), Some("TELEMETRY_test"));
-        // The keys the CI schema validator requires.
-        for key in [
-            "interval",
-            "samples",
-            "events",
-            "link_utilization",
-            "per_source",
-            "per_dest",
-            "spans",
-        ] {
-            assert!(doc.get(key).is_some(), "missing {key}");
-        }
+        let artifact = rfnoc::validate::Artifact::parse(&json, "TELEMETRY_test").unwrap();
+        let report = rfnoc::validate::check(&[artifact]);
+        assert!(report.problems.is_empty(), "{:?}", report.problems);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! and shard records ride the same timeline — and the instrumented run's
 //! statistics must be bit-identical to an uninstrumented one.
 
+use rfnoc::json::Json;
 use rfnoc::ledger::LedgerSummary;
+use std::collections::BTreeSet;
 use rfnoc::{Architecture, WorkloadSpec};
 use rfnoc_bench::plan::{labeled, Design, Plan, SweepSpec};
 use rfnoc_bench::runner::{run_plan, RunnerConfig};
@@ -67,9 +69,30 @@ fn runner_ledger_schema_roundtrip() {
     assert!(summary.plan_wall_ms.is_some(), "plan_finish must close the stream");
     assert!(summary.heartbeats >= results.unique_runs, "each run heartbeats at least once");
     assert!(summary.kcps_mean() > 0.0);
-    assert!(!summary.shards.is_empty(), "sharded runs must stream shard records");
+    assert!(summary.point_wall_ms.iter().all(|&w| w > 0.0), "{:?}", summary.point_wall_ms);
+    // Every engine shard streams sweep records.
+    let shard_ids: Vec<u64> = summary.shards.keys().copied().collect();
+    assert_eq!(shard_ids, (0..cfg.sim_threads as u64).collect::<Vec<_>>());
+    assert!(summary.shards.values().map(|t| t.swept_routers).sum::<f64>() > 0.0);
     assert!(summary.shard_imbalance().is_some());
     assert!(summary.barrier_wait_frac().is_some());
+
+    // The raw stream: `plan_start` records the runner's flags, and every
+    // unique point's engine heartbeats ride the stream tagged with it.
+    let text = std::fs::read_to_string(&path).expect("ledger file");
+    let records: Vec<Json> = text.lines().map(|l| rfnoc::json::parse(l).expect("line")).collect();
+    let kind = |r: &Json| r.get("kind").and_then(Json::as_str).unwrap_or("").to_string();
+    assert_eq!(kind(&records[0]), "plan_start");
+    assert_eq!(kind(records.last().unwrap()), "plan_finish");
+    let num = |r: &Json, k: &str| r.get(k).and_then(Json::as_f64);
+    assert_eq!(num(&records[0], "sim_threads"), Some(cfg.sim_threads as f64));
+    assert_eq!(num(&records[0], "jobs"), Some(results.jobs as f64), "effective jobs");
+    let beating: BTreeSet<&str> = records
+        .iter()
+        .filter(|r| kind(r) == "heartbeat")
+        .filter_map(|r| r.get("point").and_then(Json::as_str))
+        .collect();
+    assert_eq!(beating.len(), results.unique_runs, "heartbeat streams per unique point");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -170,6 +193,8 @@ fn obs_endpoints_mirror_the_ledger_file() {
     ] {
         assert!(metrics.contains(series), "missing {series} in:\n{metrics}");
     }
+    let problems = rfnoc::obs::exposition_problems(&metrics);
+    assert!(problems.is_empty(), "{problems:?} in:\n{metrics}");
 
     // The SSE replay starts from record zero, so attaching after the run
     // still yields the full stream; dropping the sink closes the hub and

@@ -121,11 +121,11 @@ fn perfetto_trace_2x2_golden() {
     // port; waits are spelled out in args.
     assert!(trace.contains("pkt 0 Local->"));
     assert!(trace.contains("\"va_wait\":"));
-    let doc = rfnoc::json::parse(&trace).expect("the trace parses as JSON");
-    match doc.get("traceEvents") {
-        Some(rfnoc::json::Json::Arr(events)) => assert_eq!(events.len(), 3 + 5),
-        other => panic!("traceEvents is not an array: {other:?}"),
-    }
+    let artifact = rfnoc::validate::Artifact::parse(&trace, "trace_2x2").expect("a Perfetto trace");
+    let events = artifact.doc.get("traceEvents").and_then(rfnoc::json::Json::as_arr);
+    assert_eq!(events.map(<[_]>::len), Some(3 + 5));
+    let report = rfnoc::validate::check(&[artifact]);
+    assert!(report.problems.is_empty(), "{:?}", report.problems);
 }
 
 /// Truncation is visible in the trace, never silent.

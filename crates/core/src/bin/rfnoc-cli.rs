@@ -19,6 +19,8 @@
 //! rfnoc-cli serve-obs <ledger.jsonl> [opts]  /metrics /healthz /events
 //!                                            HTTP endpoints over a ledger
 //! rfnoc-cli ledger-summary <ledger.jsonl>    ledger -> flat JSON report
+//! rfnoc-cli validate <artifact.json>...      check artifact invariants;
+//!                                            exit 2 on a failed check
 //! rfnoc-cli info                             architecture & workload names
 //! ```
 //!
@@ -42,7 +44,13 @@
 //! plan finishes. `ledger-summary` reduces a finished ledger to a flat
 //! JSON report (metric names carry the `compare` direction keywords, so
 //! two reports gate with `rfnoc-cli compare a.json b.json`); schema
-//! problems go to stderr and exit code 2.
+//! problems (heartbeat faults, and once `plan_finish` is in, lifecycle
+//! imbalance and stream-order faults) go to stderr and exit code 2.
+//!
+//! Artifacts: `validate` checks result artifacts with
+//! [`rfnoc::validate`], choosing each file's rule set from its own
+//! `name` (or `traceEvents`); partners given together (telemetry-on and
+//! -off throughput, ...) are also held to their relational bounds.
 //!
 //! Observatory: `ingest` files bench/campaign/sweep artifacts into the
 //! content-addressed history at `results/history/` (one record per
@@ -56,7 +64,7 @@
 
 use rfnoc::{Architecture, Experiment, FaultSpec, RunReport, SystemConfig, WorkloadSpec};
 use rfnoc_power::LinkWidth;
-use rfnoc_sim::{FaultRates, TelemetryConfig, TelemetryReport};
+use rfnoc_sim::{FaultRates, TelemetryConfig};
 use rfnoc_traffic::{AppProfile, Placement, TraceKind};
 use std::process::ExitCode;
 
@@ -172,44 +180,6 @@ fn run_one(arch: Architecture, width: LinkWidth, workload: WorkloadSpec) -> RunR
     Experiment::new(SystemConfig::new(arch, width), workload).run()
 }
 
-/// Prints the telemetry timeline: one row per interval (capped at 20
-/// evenly spaced rows; event-bearing intervals always shown).
-fn print_timeline(report: &TelemetryReport) {
-    println!(
-        "  {:>16} {:>8} {:>8} {:>8} {:>8} {:>18}  events",
-        "interval", "inj/cyc", "cmp/cyc", "rf/cyc", "peak-buf", "va/sa/credit"
-    );
-    let n = report.samples.len();
-    let stride = n.div_ceil(20).max(1);
-    for (i, s) in report.samples.iter().enumerate() {
-        let events: Vec<String> =
-            report.events_in_sample(i).map(|e| e.kind.to_string()).collect();
-        if i % stride != 0 && events.is_empty() && i + 1 != n {
-            continue;
-        }
-        let cycles = s.cycles.max(1) as f64;
-        let peak = s.buffered_peak.iter().copied().max().unwrap_or(0);
-        println!(
-            "  {:>16} {:>8.3} {:>8.3} {:>8.3} {:>8} {:>18}  {}",
-            format!("[{}, {})", s.start, s.start + s.cycles),
-            s.injected as f64 / cycles,
-            s.completed_packets as f64 / cycles,
-            s.rf_grants as f64 / cycles,
-            peak,
-            format!("{}/{}/{}", s.va_stalls, s.sa_stalls, s.credit_stalls),
-            if events.is_empty() { "-".to_string() } else { events.join("; ") },
-        );
-    }
-    let complete = report.spans.iter().filter(|s| s.is_complete()).count();
-    println!(
-        "  spans: {} recorded ({} complete, {} dropped), {} timeline events",
-        report.spans.len(),
-        complete,
-        report.dropped_spans,
-        report.events.len()
-    );
-}
-
 fn cmd_run(args: &[String]) -> Option<ExitCode> {
     let [arch, width, workload, rest @ ..] = args else { return None };
     let mut experiment = Experiment::new(
@@ -243,7 +213,14 @@ fn cmd_run(args: &[String]) -> Option<ExitCode> {
     report_line(&report);
     if let Some(tel) = &report.stats.telemetry {
         println!("telemetry ({} samples at interval {}):", tel.samples.len(), tel.interval);
-        print_timeline(tel);
+        print!("{}", rfnoc::timeline::render(tel, 20));
+        let complete = tel.spans.iter().filter(|s| s.is_complete()).count();
+        println!(
+            "spans: {} recorded ({complete} complete, {} dropped), {} timeline events",
+            tel.spans.len(),
+            tel.dropped_spans,
+            tel.events.len()
+        );
     }
     Some(ExitCode::SUCCESS)
 }
@@ -649,6 +626,42 @@ fn cmd_ledger_summary(args: &[String]) -> Option<ExitCode> {
     }
 }
 
+/// `validate <artifact.json>...`: checks every artifact against its
+/// family's invariants, its scenario's claims, and the relational bounds
+/// between partners given together ([`rfnoc::validate`]). Exit 0 when
+/// every check passes, 2 when any named check fails, 1 when a file is
+/// unreadable, unparseable, or of no known artifact family.
+fn cmd_validate(args: &[String]) -> Option<ExitCode> {
+    if args.is_empty() || args.iter().any(|a| a.starts_with("--")) {
+        return None;
+    }
+    let mut artifacts = Vec::with_capacity(args.len());
+    for path in args {
+        match rfnoc::validate::Artifact::read(path) {
+            Ok(a) => artifacts.push(a),
+            Err(e) => {
+                eprintln!("validate: {e}");
+                return Some(ExitCode::FAILURE);
+            }
+        }
+    }
+    let report = rfnoc::validate::check(&artifacts);
+    for note in &report.notes {
+        println!("validate: {note}");
+    }
+    for p in &report.problems {
+        eprintln!("validate: FAIL [{}] {}", p.check, p.detail);
+    }
+    let names: Vec<&str> = artifacts.iter().map(|a| a.name.as_str()).collect();
+    if report.problems.is_empty() {
+        println!("validate: ok ({})", names.join(", "));
+        Some(ExitCode::SUCCESS)
+    } else {
+        eprintln!("validate: {} problem(s) in {}", report.problems.len(), names.join(", "));
+        Some(ExitCode::from(2))
+    }
+}
+
 fn cmd_info() -> Option<ExitCode> {
     println!("architectures: {}", ARCH_NAMES.join(" "));
     let traces: Vec<&str> = TraceKind::all().iter().map(|t| t.name()).collect();
@@ -672,6 +685,7 @@ fn main() -> ExitCode {
         Some((cmd, rest)) if cmd == "gate" => cmd_gate(rest),
         Some((cmd, rest)) if cmd == "serve-obs" => cmd_serve_obs(rest),
         Some((cmd, rest)) if cmd == "ledger-summary" => cmd_ledger_summary(rest),
+        Some((cmd, rest)) if cmd == "validate" => cmd_validate(rest),
         Some((cmd, _)) if cmd == "info" => cmd_info(),
         _ => None,
     };
@@ -692,6 +706,7 @@ fn main() -> ExitCode {
              [--k F] [--floor F] [--window N] [--min-history N]\n  \
              rfnoc-cli serve-obs <ledger.jsonl> [--port P] [--poll-ms N]\n  \
              rfnoc-cli ledger-summary <ledger.jsonl>\n  \
+             rfnoc-cli validate <artifact.json>...\n  \
              rfnoc-cli info"
         );
         ExitCode::FAILURE

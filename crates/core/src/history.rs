@@ -77,7 +77,7 @@ impl HistoryRecord {
                 .map(str::to_string)
                 .ok_or("artifact has no \"name\" field (pass --name)")?,
         };
-        if let Some(Json::Arr(rows)) = doc.get("rows") {
+        if let Some(rows) = doc.get("rows").and_then(Json::as_arr) {
             return rows
                 .iter()
                 .enumerate()
@@ -97,14 +97,9 @@ impl HistoryRecord {
             .and_then(Json::as_str)
             .unwrap_or("unknown")
             .to_string();
-        let unix = match doc.get("generated_unix") {
-            Some(Json::Num(v)) if *v >= 0.0 => *v as u64,
-            _ => 0,
-        };
-        let quick = match doc.get("quick") {
-            Some(Json::Bool(b)) => Some(*b),
-            _ => None,
-        };
+        let unix =
+            doc.get("generated_unix").and_then(Json::as_f64).map_or(0, |v| v.max(0.0) as u64);
+        let quick = doc.get("quick").and_then(Json::as_bool);
         let metrics = flatten(doc)
             .into_iter()
             .filter(|(path, v)| {
@@ -175,20 +170,14 @@ impl HistoryRecord {
             .and_then(Json::as_str)
             .unwrap_or("unknown")
             .to_string();
-        let unix = match doc.get("unix") {
-            Some(Json::Num(v)) if *v >= 0.0 => *v as u64,
-            _ => 0,
-        };
-        let quick = match doc.get("quick") {
-            Some(Json::Bool(b)) => Some(*b),
-            _ => None,
-        };
+        let unix = doc.get("unix").and_then(Json::as_f64).map_or(0, |v| v.max(0.0) as u64);
+        let quick = doc.get("quick").and_then(Json::as_bool);
         let mut metrics = BTreeMap::new();
         match doc.get("metrics") {
             Some(Json::Obj(fields)) => {
                 for (k, v) in fields {
-                    if let Json::Num(v) = v {
-                        metrics.insert(k.clone(), *v);
+                    if let Some(v) = v.as_f64() {
+                        metrics.insert(k.clone(), v);
                     }
                 }
             }

@@ -86,6 +86,30 @@ impl Json {
             _ => None,
         }
     }
+
+    /// The value as a number, if it is one.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The value as a boolean, if it is one.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The value's items, if it is an array.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
 }
 
 /// A JSON parse error with byte offset context.
@@ -335,6 +359,12 @@ mod tests {
             Some(&Json::Arr(vec![Json::Bool(true), Json::Bool(false), Json::Null]))
         );
         assert_eq!(v.get("o"), Some(&Json::Obj(Vec::new())));
+        assert_eq!(v.get("n").and_then(Json::as_f64), Some(-150.0));
+        assert_eq!(v.get("s").and_then(Json::as_f64), None);
+        let items = v.get("b").and_then(Json::as_arr).unwrap();
+        assert_eq!(items[0].as_bool(), Some(true));
+        assert_eq!(items[2].as_bool(), None);
+        assert_eq!(v.get("o").and_then(Json::as_arr), None);
         assert!(parse("{\"a\": 1,}").is_err(), "trailing comma rejected");
         assert!(parse("[1, 2] garbage").is_err());
         assert!(parse("\"unterminated").is_err());

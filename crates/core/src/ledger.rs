@@ -109,19 +109,6 @@ pub fn render_jsonl(rec: &LedgerRecord) -> String {
     format!("{{{}}}", render_fields(rec))
 }
 
-/// Reads a numeric field of a flat record.
-fn num(rec: &Json, key: &str) -> Option<f64> {
-    match rec.get(key) {
-        Some(Json::Num(v)) => Some(*v),
-        _ => None,
-    }
-}
-
-/// Reads a string field of a flat record.
-fn text<'j>(rec: &'j Json, key: &str) -> Option<&'j str> {
-    rec.get(key).and_then(Json::as_str)
-}
-
 /// Accumulated totals for one engine shard across every `shard` record.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct ShardTotals {
@@ -181,7 +168,11 @@ pub struct LedgerSummary {
     pub plan_wall_ms: Option<f64>,
     /// Schema violations found while reading (heartbeat cycles not
     /// strictly increasing within a point's stream, spans not tiling,
-    /// missing required fields). Empty on a healthy ledger.
+    /// missing required fields). Once `plan_finish` is read, also the
+    /// stream's shape: the point lifecycle (queued, started and finished
+    /// counts) must equal the planned count, the first record must be
+    /// `plan_start`, and every record must carry `kind` and a
+    /// non-decreasing `t_ms`. Empty on a healthy ledger.
     pub problems: Vec<String>,
 }
 
@@ -225,18 +216,19 @@ impl LedgerSummary {
         hb_last: &mut BTreeMap<String, f64>,
     ) {
         self.heartbeats += 1;
-        let (Some(cycle), Some(cycles)) = (num(rec, "cycle"), num(rec, "cycles")) else {
+        let num = |key| rec.get(key).and_then(Json::as_f64);
+        let (Some(cycle), Some(cycles)) = (num("cycle"), num("cycles")) else {
             self.problems.push(format!("line {line}: heartbeat missing cycle/cycles"));
             return;
         };
         self.total_cycles += cycles;
-        if let Some(k) = num(rec, "kcycles_per_sec") {
+        if let Some(k) = num("kcycles_per_sec") {
             self.kcps.push(k);
         }
-        if let Some(f) = num(rec, "in_flight") {
+        if let Some(f) = num("in_flight") {
             self.in_flight_last = f;
         }
-        if let Some(c) = num(rec, "completed") {
+        if let Some(c) = num("completed") {
             self.completed_last = c;
         }
         let prev = hb_last.get(point).copied().unwrap_or(0.0);
@@ -254,15 +246,16 @@ impl LedgerSummary {
     }
 
     fn note_shard(&mut self, rec: &Json, line: usize) {
-        let Some(shard) = num(rec, "shard") else {
+        let num = |key| rec.get(key).and_then(Json::as_f64);
+        let Some(shard) = num("shard") else {
             self.problems.push(format!("line {line}: shard record missing shard index"));
             return;
         };
         let t = self.shards.entry(shard as u64).or_default();
-        t.swept_routers += num(rec, "swept_routers").unwrap_or(0.0);
-        t.sweep_ms += num(rec, "sweep_ms").unwrap_or(0.0);
-        t.barrier_ms += num(rec, "barrier_ms").unwrap_or(0.0);
-        t.replay_ops += num(rec, "replay_ops").unwrap_or(0.0);
+        t.swept_routers += num("swept_routers").unwrap_or(0.0);
+        t.sweep_ms += num("sweep_ms").unwrap_or(0.0);
+        t.barrier_ms += num("barrier_ms").unwrap_or(0.0);
+        t.replay_ops += num("replay_ops").unwrap_or(0.0);
     }
 
     /// Mean of the per-heartbeat throughput readings (0 when none).
@@ -478,6 +471,14 @@ pub struct LedgerReader {
     /// Lines pushed so far (including blank and rejected ones) — the
     /// 1-based line number used in problem and error messages.
     lines_seen: usize,
+    /// The most recent `t_ms` stamp, for the ordering check.
+    last_t_ms: Option<f64>,
+    /// Stream-order problems (first record not `plan_start`, a missing
+    /// `kind`/`t_ms`, a `t_ms` regression) held back until `plan_finish`:
+    /// a live file is not judged on them mid-write.
+    deferred: Vec<String>,
+    /// Whether `plan_finish` has been read.
+    finished: bool,
 }
 
 impl LedgerReader {
@@ -515,37 +516,72 @@ impl LedgerReader {
             return Ok(());
         }
         let rec = parse(line).map_err(|e| format!("line {line_no}: {e}"))?;
+        let num = |key| rec.get(key).and_then(Json::as_f64);
+        let kind = rec.get("kind").and_then(Json::as_str);
+        let t_ms = num("t_ms");
         let s = &mut self.summary;
         s.records += 1;
-        if let Some(t) = num(&rec, "t_ms") {
+        if s.records == 1 && kind != Some("plan_start") {
+            self.deferred.push(format!(
+                "line {line_no}: first record is {}, not plan_start",
+                kind.unwrap_or("untyped")
+            ));
+        }
+        if kind.is_none() || t_ms.is_none() {
+            self.deferred.push(format!("line {line_no}: record missing kind or t_ms"));
+        }
+        if let Some(t) = t_ms {
             if s.records == 1 {
                 s.t_ms_span.0 = t;
             }
             s.t_ms_span.1 = s.t_ms_span.1.max(t);
+            if let Some(last) = self.last_t_ms.filter(|&last| t < last - 1e-9) {
+                self.deferred.push(format!("line {line_no}: t_ms {t} before previous {last}"));
+            }
+            self.last_t_ms = Some(t);
         }
-        let point = text(&rec, "point").unwrap_or("").to_string();
-        match text(&rec, "kind") {
+        let point = rec.get("point").and_then(Json::as_str).unwrap_or("").to_string();
+        match kind {
             Some("heartbeat") => s.note_heartbeat(&rec, &point, line_no, &mut self.hb_last),
             Some("shard") => s.note_shard(&rec, line_no),
             Some("event") => {
-                let name = text(&rec, "event").unwrap_or("unknown").to_string();
-                *s.events.entry(name).or_insert(0) += 1;
+                let name = rec.get("event").and_then(Json::as_str).unwrap_or("unknown");
+                *s.events.entry(name.to_string()).or_insert(0) += 1;
             }
             Some("plan_start") => {
-                s.points_planned = num(&rec, "unique").or_else(|| num(&rec, "points"));
-                s.jobs = num(&rec, "jobs");
-                s.dedup_hits = num(&rec, "dedup_hits");
+                s.points_planned = num("unique").or_else(|| num("points"));
+                s.jobs = num("jobs");
+                s.dedup_hits = num("dedup_hits");
             }
             Some("point_queued") => s.points_queued += 1,
             Some("point_start") => s.points_started += 1,
             Some("point_finish") => {
                 s.points_finished += 1;
-                if let Some(w) = num(&rec, "wall_ms") {
+                if let Some(w) = num("wall_ms") {
                     s.point_wall_ms.push(w);
                 }
             }
-            Some("plan_finish") => s.plan_wall_ms = num(&rec, "wall_ms"),
+            Some("plan_finish") => {
+                s.plan_wall_ms = num("wall_ms");
+                self.finished = true;
+                let planned = s.points_planned;
+                for (what, n) in [
+                    ("queued", s.points_queued),
+                    ("started", s.points_started),
+                    ("finished", s.points_finished),
+                ] {
+                    if planned != Some(n as f64) {
+                        s.problems.push(format!(
+                            "line {line_no}: {n} points {what}, {} planned",
+                            planned.map_or_else(|| "none".to_string(), |p| p.to_string())
+                        ));
+                    }
+                }
+            }
             _ => s.unknown_kinds += 1,
+        }
+        if self.finished {
+            s.problems.append(&mut self.deferred);
         }
         Ok(())
     }
@@ -637,8 +673,8 @@ mod tests {
             let line = render_jsonl(&rec);
             assert!(!line.contains('\n'), "one record per line: {line}");
             let doc = parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
-            assert_eq!(text(&doc, "kind"), Some(rec.kind()), "{line}");
-            assert_eq!(num(&doc, "cycle"), Some(rec.cycle() as f64), "{line}");
+            assert_eq!(doc.get("kind").and_then(Json::as_str), Some(rec.kind()), "{line}");
+            assert_eq!(doc.get("cycle").and_then(Json::as_f64), Some(rec.cycle() as f64), "{line}");
         }
     }
 
@@ -727,6 +763,82 @@ mod tests {
             "\"completed\": 0, \"active_routers\": 0}\n",
         );
         assert_eq!(LedgerSummary::from_text(gap).unwrap().problems.len(), 1);
+    }
+
+    /// A complete one-point plan: balanced lifecycle, ordered stamps.
+    const FINISHED: [&str; 5] = [
+        "{\"t_ms\": 0.1, \"kind\": \"plan_start\", \"points\": 1, \"unique\": 1, \"jobs\": 1}",
+        "{\"t_ms\": 0.2, \"kind\": \"point_queued\", \"point\": \"a\"}",
+        "{\"t_ms\": 0.3, \"kind\": \"point_start\", \"point\": \"a\"}",
+        "{\"t_ms\": 0.4, \"kind\": \"point_finish\", \"point\": \"a\", \"wall_ms\": 0.1}",
+        "{\"t_ms\": 0.5, \"kind\": \"plan_finish\", \"wall_ms\": 0.4}",
+    ];
+
+    /// The problems of `FINISHED` with line `i` replaced by `with`
+    /// (`None` drops it), plus an optional record prepended.
+    fn finished_problems(edit: Option<(usize, Option<&str>)>, first: Option<&str>) -> Vec<String> {
+        let mut lines: Vec<&str> = FINISHED.to_vec();
+        if let Some((i, with)) = edit {
+            match with {
+                Some(w) => lines[i] = w,
+                None => {
+                    lines.remove(i);
+                }
+            }
+        }
+        if let Some(f) = first {
+            lines.insert(0, f);
+        }
+        LedgerSummary::from_text(&lines.join("\n")).unwrap().problems
+    }
+
+    fn assert_one_problem(problems: &[String], needle: &str) {
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains(needle), "{problems:?}");
+    }
+
+    #[test]
+    fn finished_plan_is_clean() {
+        assert!(finished_problems(None, None).is_empty());
+    }
+
+    #[test]
+    fn finished_plan_flags_lifecycle_imbalance() {
+        let problems = finished_problems(Some((2, None)), None);
+        assert_one_problem(&problems, "0 points started, 1 planned");
+    }
+
+    #[test]
+    fn finished_plan_flags_t_ms_regression() {
+        let late = "{\"t_ms\": 0.05, \"kind\": \"point_start\", \"point\": \"a\"}";
+        assert_one_problem(&finished_problems(Some((2, Some(late))), None), "t_ms 0.05 before");
+    }
+
+    #[test]
+    fn finished_plan_flags_missing_kind_or_t_ms() {
+        let unstamped = "{\"kind\": \"point_start\", \"point\": \"a\"}";
+        let problems = finished_problems(Some((2, Some(unstamped))), None);
+        assert_one_problem(&problems, "line 3: record missing kind or t_ms");
+        let untyped = "{\"t_ms\": 0.3, \"point\": \"a\"}";
+        let problems = finished_problems(Some((1, Some(untyped))), None);
+        assert_eq!(problems.len(), 2, "missing kind, and one point never queued: {problems:?}");
+        assert!(problems.iter().any(|p| p.contains("record missing kind")), "{problems:?}");
+    }
+
+    #[test]
+    fn finished_plan_flags_first_record_not_plan_start() {
+        let early = "{\"t_ms\": 0.0, \"kind\": \"event\", \"event\": \"fault\"}";
+        let problems = finished_problems(None, Some(early));
+        assert_one_problem(&problems, "first record is event, not plan_start");
+    }
+
+    #[test]
+    fn live_stream_is_not_judged_on_order_until_plan_finish() {
+        let late = "{\"t_ms\": 0.05, \"kind\": \"point_start\", \"point\": \"a\"}";
+        let live = [FINISHED[1], FINISHED[0], late].join("\n");
+        assert!(LedgerSummary::from_text(&live).unwrap().problems.is_empty());
+        let done = [FINISHED[1], FINISHED[0], late, FINISHED[3], FINISHED[4]].join("\n");
+        assert_eq!(LedgerSummary::from_text(&done).unwrap().problems.len(), 3);
     }
 
     #[test]

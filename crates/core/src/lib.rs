@@ -63,6 +63,8 @@ pub mod history;
 pub mod json;
 pub mod ledger;
 pub mod obs;
+pub mod timeline;
+pub mod validate;
 mod phased;
 mod workload;
 

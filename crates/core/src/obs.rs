@@ -328,6 +328,77 @@ impl ObsHub {
     }
 }
 
+/// The Prometheus text-format faults in an exposition; empty when it is
+/// well-formed. Every non-blank line is either a 4-field `# HELP name
+/// text` / `# TYPE name gauge|counter` comment or a sample
+/// `name[{labels}] value` with a decimal, `NaN` or `±Inf` value, and
+/// every sampled series has a `TYPE` line. The obs tests hold both the
+/// hub's rendering and a real run's `/metrics` body to this.
+pub fn exposition_problems(text: &str) -> Vec<String> {
+    let mut problems = Vec::new();
+    let mut typed = std::collections::BTreeSet::new();
+    let mut sampled = std::collections::BTreeSet::new();
+    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+    if lines.is_empty() {
+        problems.push("empty exposition".to_string());
+    }
+    for line in lines {
+        if line.starts_with("# HELP ") || line.starts_with("# TYPE ") {
+            let parts: Vec<&str> = line.split_whitespace().collect();
+            if parts.len() < 4 {
+                problems.push(format!("malformed comment line: {line}"));
+            } else if parts[1] == "TYPE" {
+                if parts.len() != 4 || !matches!(parts[3], "gauge" | "counter") {
+                    problems.push(format!("unsupported TYPE line: {line}"));
+                }
+                typed.insert(parts[2]);
+            }
+            continue;
+        }
+        match sample_name(line) {
+            Some(name) => {
+                sampled.insert(name);
+            }
+            None => problems.push(format!("invalid exposition line: {line:?}")),
+        }
+    }
+    for name in sampled.difference(&typed) {
+        problems.push(format!("samples without TYPE: {name}"));
+    }
+    problems
+}
+
+/// The series name of a well-formed sample line, else `None`.
+fn sample_name(line: &str) -> Option<&str> {
+    let end = line
+        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':'))
+        .unwrap_or(line.len());
+    let name = &line[..end];
+    if name.is_empty() || name.starts_with(|c: char| c.is_ascii_digit()) {
+        return None;
+    }
+    let mut rest = &line[end..];
+    if let Some(labels) = rest.strip_prefix('{') {
+        let close = labels.find(['{', '}'])?;
+        rest = labels[close..].strip_prefix('}')?;
+    }
+    let value = rest.strip_prefix(' ')?;
+    if matches!(value, "NaN" | "Inf" | "+Inf" | "-Inf") {
+        return Some(name);
+    }
+    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    let unsigned = value.strip_prefix('-').unwrap_or(value);
+    let (mantissa, exp) = match unsigned.split_once(['e', 'E']) {
+        Some((m, e)) => (m, Some(e.strip_prefix(['+', '-']).unwrap_or(e))),
+        None => (unsigned, None),
+    };
+    let mantissa_ok = match mantissa.split_once('.') {
+        Some((int, frac)) => digits(int) && digits(frac),
+        None => digits(mantissa),
+    };
+    (mantissa_ok && exp.is_none_or(digits)).then_some(name)
+}
+
 /// Binds `127.0.0.1:port` (0 = OS-assigned) and serves the hub on a
 /// detached accept-loop thread. Returns the bound address.
 ///
@@ -543,15 +614,29 @@ mod tests {
         assert!(text.contains("rfnoc_shard_imbalance 1.5"), "{text}");
         assert!(text.contains("rfnoc_shard_sweep_ms{shard=\"0\"} 3"), "{text}");
         assert!(text.contains("rfnoc_events{event=\"fault\"} 1"), "{text}");
-        // Every line is a comment or `name[{labels}] value`.
-        for line in text.lines() {
-            assert!(
-                line.starts_with('#')
-                    || line
-                        .split_once(' ')
-                        .is_some_and(|(name, v)| !name.is_empty() && v.parse::<f64>().is_ok()),
-                "unexpected exposition line: {line}"
-            );
+        assert_eq!(exposition_problems(&text), Vec::<String>::new(), "{text}");
+    }
+
+    #[test]
+    fn exposition_grammar_rejects_malformed_lines() {
+        let ok = "# HELP a_b help text\n# TYPE a_b gauge\na_b 1\na_b{x=\"1 2\"} -2.5e+3\n\
+                  # TYPE c counter\nc NaN\nc{y=\"z\"} +Inf\n";
+        assert_eq!(exposition_problems(ok), Vec::<String>::new());
+        for bad in [
+            "",
+            "# HELP a_b\n# TYPE a_b gauge\na_b 1\n",
+            "# TYPE a_b histogram\na_b 1\n",
+            "# TYPE a_b gauge extra\na_b 1\n",
+            "a_b 1\n",
+            "# TYPE a_b gauge\na_b  1\n",
+            "# TYPE a_b gauge\na_b 1.5.2\n",
+            "# TYPE a_b gauge\na_b 1.\n",
+            "# TYPE a_b gauge\na_b{x=\"1\" 2\n",
+            "# TYPE a_b gauge\na_b{x={}} 2\n",
+            "# TYPE 9a gauge\n9a 1\n",
+            "# comment\n",
+        ] {
+            assert_eq!(exposition_problems(bad).len(), 1, "{bad:?}: {:?}", exposition_problems(bad));
         }
     }
 

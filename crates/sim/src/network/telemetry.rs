@@ -551,6 +551,22 @@ impl TelemetryReport {
         total
     }
 
+    /// Mean fabric-link utilization of sample `i`: grants on every
+    /// router's fabric ports (all but Local and RF) over the interval's
+    /// capacity at 1 flit/cycle. 0.0 when the links channel was off or
+    /// the sample is empty.
+    pub fn sample_mesh_utilization(&self, i: usize) -> f64 {
+        let s = &self.samples[i];
+        if s.cycles == 0 || s.port_grants.is_empty() {
+            return 0.0;
+        }
+        let slots = self.ports.saturating_sub(2).max(1);
+        let mesh: u64 = (0..self.routers)
+            .flat_map(|r| (0..slots).map(move |p| s.port_grants[r * self.ports + p]))
+            .sum();
+        mesh as f64 / (s.cycles as f64 * (self.routers * slots) as f64)
+    }
+
     /// The events whose cycle falls inside sample `i`.
     pub fn events_in_sample(&self, i: usize) -> impl Iterator<Item = &TimelineEvent> {
         let (start, end) = match self.samples.get(i) {
