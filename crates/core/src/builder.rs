@@ -5,7 +5,7 @@ use crate::arch::{Architecture, SystemConfig};
 use rfnoc_power::{DesignSpec, RouterConfig};
 use rfnoc_sim::{McConfig, MulticastMode, NetworkSpec, RoutingKind, VctConfig};
 use rfnoc_topology::select::{
-    select_application_specific, select_max_cost, SelectionConstraints,
+    select_application_specific, select_max_distance, SelectionConstraints,
 };
 use rfnoc_topology::{GridGraph, NodeId, PairWeights, Shortcut};
 use rfnoc_traffic::{staggered_rf_routers, Placement};
@@ -48,13 +48,14 @@ fn directed_mesh_links(placement: &Placement) -> usize {
 
 /// Selects the architecture-specific (design-time) shortcut set: uniform
 /// weights, max-cost heuristic (Figure 3b), corners excluded (§3.2.1).
+/// With uniform weights the cost is the hop distance itself, so the
+/// selection scores distances directly.
 pub fn static_shortcuts(placement: &Placement, budget: usize) -> Vec<Shortcut> {
     let graph = GridGraph::from_fabric(&placement.fabric(), &[]);
     let n = graph.node_count();
-    let weights = PairWeights::uniform(n);
     let constraints =
         SelectionConstraints::allowing_all(n, budget).excluding_corners(&graph);
-    select_max_cost(&graph, &weights, &constraints)
+    select_max_distance(&graph, &constraints)
 }
 
 /// Selects application-specific shortcuts over the RF-enabled router set

@@ -8,7 +8,9 @@
 //! bounded ring of the raw lines (so `/events` can replay the stream
 //! from the beginning to late subscribers). [`spawn_server`] binds a
 //! `std::net::TcpListener` on localhost and serves, one thread per
-//! connection:
+//! connection, at most [`MAX_CONNECTIONS`] at once (a connection over the
+//! cap is answered `503` from the accept loop), with request heads bounded
+//! at [`MAX_HEADER_BYTES`] (`431` beyond it):
 //!
 //! * `GET /healthz` — `ok`, always 200 while the process lives.
 //! * `GET /metrics` — Prometheus text exposition (format 0.0.4) of the
@@ -28,7 +30,8 @@ use crate::ledger::{LedgerReader, LedgerSummary};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -40,6 +43,14 @@ const RING_CAP: usize = 65_536;
 /// How long a blocked `/events` subscriber waits before emitting an SSE
 /// keepalive comment (which doubles as dead-client detection).
 const SSE_KEEPALIVE: Duration = Duration::from_millis(1_000);
+
+/// Connections served at once; each holds one thread, and an `/events`
+/// subscriber holds its thread until the stream ends.
+pub const MAX_CONNECTIONS: usize = 32;
+
+/// Bytes of request line plus headers read before a request is refused
+/// with `431`.
+pub const MAX_HEADER_BYTES: u64 = 16 * 1024;
 
 struct HubInner {
     reader: LedgerReader,
@@ -406,45 +417,95 @@ fn sample_name(line: &str) -> Option<&str> {
 ///
 /// The bind failure, if any — the caller decides whether that is fatal.
 pub fn spawn_server(hub: Arc<ObsHub>, port: u16) -> std::io::Result<SocketAddr> {
+    spawn_capped(hub, port, MAX_CONNECTIONS)
+}
+
+/// [`spawn_server`] serving at most `cap` connections at once.
+fn spawn_capped(hub: Arc<ObsHub>, port: u16, cap: usize) -> std::io::Result<SocketAddr> {
     let listener = TcpListener::bind(("127.0.0.1", port))?;
     let addr = listener.local_addr()?;
+    let live = Arc::new(AtomicUsize::new(0));
     std::thread::Builder::new()
         .name("rfnoc-obs-accept".into())
         .spawn(move || {
             for stream in listener.incoming() {
                 let Ok(stream) = stream else { continue };
+                // Only this thread increments, so the check cannot race
+                // past the cap.
+                if live.load(Ordering::Acquire) >= cap {
+                    refuse_busy(stream);
+                    continue;
+                }
+                live.fetch_add(1, Ordering::AcqRel);
+                let slot = ConnectionSlot(Arc::clone(&live));
                 let hub = Arc::clone(&hub);
+                // A failed spawn drops the closure, and its slot with it.
                 let _ = std::thread::Builder::new()
                     .name("rfnoc-obs-conn".into())
-                    .spawn(move || handle_connection(stream, &hub));
+                    .spawn(move || {
+                        let _slot = slot;
+                        handle_connection(stream, &hub);
+                    });
             }
         })?;
     Ok(addr)
 }
 
+/// One served connection's share of the cap, released on drop (also when
+/// a handler panics).
+struct ConnectionSlot(Arc<AtomicUsize>);
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// Answers a connection over the cap with `503` without blocking the
+/// accept loop: whatever part of the request has already arrived is
+/// discarded first, so closing does not reset the connection under the
+/// response.
+fn refuse_busy(mut stream: TcpStream) {
+    if stream.set_nonblocking(true).is_ok() {
+        let _ = std::io::copy(&mut (&stream).take(MAX_HEADER_BYTES), &mut std::io::sink());
+    }
+    write_response(&mut stream, "503 Service Unavailable", "text/plain", "busy\n");
+    let _ = stream.shutdown(Shutdown::Write);
+}
+
+/// Why a request head was refused.
+enum BadRequest {
+    /// Unreadable, not a `GET`, or no request line: `400`.
+    Malformed,
+    /// No end of headers within [`MAX_HEADER_BYTES`]: `431`.
+    TooLarge,
+}
+
 /// Reads the request line + headers of one HTTP/1.x request; returns the
-/// request path. Bounded at 16 KiB of headers.
-fn read_request(stream: &mut TcpStream) -> Option<String> {
-    let mut reader = BufReader::new(stream.try_clone().ok()?).take(16 * 1024);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line).ok()?;
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next()?;
-    let path = parts.next()?.to_string();
-    if method != "GET" {
-        return None;
-    }
-    // Drain headers up to the blank line; the bodies of GETs are empty.
-    loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line == "\r\n" || line == "\n" => break,
-            Ok(_) => continue,
-            Err(_) => return None,
+/// request path. Bounded at [`MAX_HEADER_BYTES`].
+fn read_request(stream: &mut TcpStream) -> Result<String, BadRequest> {
+    let source = stream.try_clone().map_err(|_| BadRequest::Malformed)?;
+    let mut reader = BufReader::new(source).take(MAX_HEADER_BYTES);
+    // Reads one line; `false` at end of stream. A line cut off by the
+    // byte bound means the head does not fit.
+    let mut next_line = |line: &mut String| {
+        line.clear();
+        let read = reader.read_line(line).map_err(|_| BadRequest::Malformed)?;
+        if !line.ends_with('\n') && reader.limit() == 0 {
+            return Err(BadRequest::TooLarge);
         }
-    }
-    Some(path)
+        Ok(read > 0)
+    };
+    let mut line = String::new();
+    next_line(&mut line)?;
+    let mut parts = line.split_whitespace();
+    let (Some("GET"), Some(path)) = (parts.next(), parts.next()) else {
+        return Err(BadRequest::Malformed);
+    };
+    let path = path.to_string();
+    // Drain headers up to the blank line; the bodies of GETs are empty.
+    while next_line(&mut line)? && line != "\r\n" && line != "\n" {}
+    Ok(path)
 }
 
 fn write_response(stream: &mut TcpStream, status: &str, content_type: &str, body: &str) {
@@ -460,9 +521,25 @@ fn write_response(stream: &mut TcpStream, status: &str, content_type: &str, body
 fn handle_connection(mut stream: TcpStream, hub: &Arc<ObsHub>) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let Some(path) = read_request(&mut stream) else {
-        write_response(&mut stream, "400 Bad Request", "text/plain", "bad request\n");
-        return;
+    let path = match read_request(&mut stream) {
+        Ok(path) => path,
+        Err(BadRequest::Malformed) => {
+            write_response(&mut stream, "400 Bad Request", "text/plain", "bad request\n");
+            return;
+        }
+        Err(BadRequest::TooLarge) => {
+            write_response(
+                &mut stream,
+                "431 Request Header Fields Too Large",
+                "text/plain",
+                "request header fields too large\n",
+            );
+            // Let the client finish sending before the close, so the
+            // unread rest of its head does not reset the response away.
+            let _ = stream.shutdown(Shutdown::Write);
+            let _ = std::io::copy(&mut (&stream).take(4 * MAX_HEADER_BYTES), &mut std::io::sink());
+            return;
+        }
     };
     match path.split('?').next().unwrap_or("") {
         "/healthz" => write_response(&mut stream, "200 OK", "text/plain", "ok\n"),
@@ -664,6 +741,76 @@ mod tests {
         assert!(metrics.contains("text/plain; version=0.0.4"), "{metrics}");
         let missing = get("/nope");
         assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
+    }
+
+    /// Sends `request` (then closes the write half) and returns the whole
+    /// response.
+    fn exchange(addr: SocketAddr, request: &str) -> String {
+        let mut s = TcpStream::connect(addr).unwrap();
+        // The server may answer and close before reading everything.
+        let _ = s.write_all(request.as_bytes());
+        let _ = s.shutdown(Shutdown::Write);
+        let mut out = Vec::new();
+        let _ = s.read_to_end(&mut out);
+        String::from_utf8_lossy(&out).into_owned()
+    }
+
+    #[test]
+    fn connections_over_the_cap_get_503_until_one_ends() {
+        let hub = Arc::new(ObsHub::new());
+        let addr = spawn_capped(Arc::clone(&hub), 0, 2).expect("bind ephemeral port");
+        // Two live `/events` subscribers hold both slots.
+        let subscribers: Vec<TcpStream> = (0..2)
+            .map(|_| {
+                let mut s = TcpStream::connect(addr).unwrap();
+                write!(s, "GET /events HTTP/1.1\r\n\r\n").unwrap();
+                let mut head = [0u8; 15];
+                s.read_exact(&mut head).unwrap();
+                assert_eq!(&head, b"HTTP/1.1 200 OK");
+                s
+            })
+            .collect();
+        let busy = exchange(addr, "GET /healthz HTTP/1.1\r\n\r\n");
+        assert!(busy.starts_with("HTTP/1.1 503 Service Unavailable"), "{busy}");
+        // Ending the streams frees the slots.
+        hub.close();
+        assert!(hub.wait_drained(Duration::from_secs(10)), "subscribers must finish");
+        drop(subscribers);
+        let served = (0..200).find_map(|_| {
+            let reply = exchange(addr, "GET /healthz HTTP/1.1\r\n\r\n");
+            if reply.starts_with("HTTP/1.1 200 OK") {
+                return Some(reply);
+            }
+            std::thread::sleep(Duration::from_millis(10));
+            None
+        });
+        assert!(served.is_some_and(|r| r.ends_with("ok\n")), "a freed slot serves again");
+    }
+
+    #[test]
+    fn request_heads_beyond_the_bound_get_431() {
+        let hub = Arc::new(ObsHub::new());
+        let addr = spawn_server(Arc::clone(&hub), 0).expect("bind ephemeral port");
+        let head = |pad: usize| {
+            format!("GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(pad))
+        };
+        let bound = MAX_HEADER_BYTES as usize;
+        let fits = head(bound - 64);
+        assert!(fits.len() < bound);
+        let ok = exchange(addr, &fits);
+        assert!(ok.starts_with("HTTP/1.1 200 OK"), "{ok}");
+        let too_large = exchange(addr, &head(bound + 4096));
+        assert!(
+            too_large.starts_with("HTTP/1.1 431 Request Header Fields Too Large"),
+            "{too_large}"
+        );
+        // A head that ends exactly at the bound still fits; one byte more
+        // leaves the blank line outside it.
+        let exact = head(bound - head(0).len());
+        assert_eq!(exact.len(), bound);
+        assert!(exchange(addr, &exact).starts_with("HTTP/1.1 200 OK"));
+        let over = head(bound - head(0).len() + 1);
+        assert!(exchange(addr, &over).starts_with("HTTP/1.1 431"));
     }
 
     #[test]

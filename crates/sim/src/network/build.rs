@@ -75,48 +75,12 @@ impl Network {
         // Precompute the base-route port table for non-mesh fabrics; the
         // mesh keeps deriving its base route with the literal XY
         // computation (no table lookup on the escape path).
-        let base_table: Option<Vec<u8>> = if fabric.is_mesh() {
-            None
-        } else {
-            let mut bt = vec![0u8; n * n];
-            for r in 0..n {
-                for d in 0..n {
-                    bt[r * n + d] =
-                        if r == d { base_ports[r] } else { fabric.base_port(r, d) };
-                }
-            }
-            Some(bt)
-        };
+        let base_table = (!fabric.is_mesh()).then(|| fabric.base_port_table());
 
         let (port_table, sp_dist) = match spec.routing {
             RoutingKind::Xy => (None, None),
             RoutingKind::ShortestPath => {
-                let graph = GridGraph::from_fabric(&fabric, &spec.shortcuts);
-                let dist = graph.distances();
-                let tables = RoutingTables::from_distances(&graph, &dist);
-                let mut pt = vec![0u8; n * n];
-                let mut dm = vec![0u32; n * n];
-                for r in 0..n {
-                    for d in 0..n {
-                        dm[r * n + d] = dist.get(r, d);
-                        if r == d {
-                            pt[r * n + d] = base_ports[r];
-                            continue;
-                        }
-                        let next = tables.next_hop(r, d);
-                        pt[r * n + d] = match fabric.port_between(r, next) {
-                            Some(slot) => slot,
-                            None => {
-                                debug_assert_eq!(
-                                    rf_out[r],
-                                    Some(next),
-                                    "non-adjacent hop without shortcut"
-                                );
-                                base_ports[r] + 1
-                            }
-                        };
-                    }
-                }
+                let (pt, dm) = PortTables::shortest_path(&fabric, &spec.shortcuts).into_parts();
                 (Some(pt), Some(dm))
             }
         };

@@ -368,7 +368,7 @@ impl Network {
     /// [`rebuild_unicast_tables`](Network::rebuild_unicast_tables) for a
     /// single base-link failure or repair. Falls back to the full rebuild
     /// when the fabric just became intact again (back to the
-    /// [`GridGraph`] tie-breaks) or when the installed tables were not
+    /// [`PortTables`] tie-breaks) or when the installed tables were not
     /// detour-built (first intact→faulty transition).
     fn rebuild_unicast_tables_after_link_change(&mut self, a: usize, b: usize, removed: bool) {
         if self.mesh_link_failures == 0 || self.detour_dist.is_none() {

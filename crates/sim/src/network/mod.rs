@@ -12,8 +12,8 @@ use crate::router::{
 };
 use crate::stats::RunStats;
 use crate::vct::{VctConfig, VctTable};
-use rfnoc_topology::routing::RoutingTables;
-use rfnoc_topology::{FabricSpec, GridDims, GridGraph, NodeId, Shortcut};
+use rfnoc_topology::routing::PortTables;
+use rfnoc_topology::{FabricSpec, GridDims, NodeId, Shortcut};
 use std::collections::VecDeque;
 
 /// How unicast packets are routed.

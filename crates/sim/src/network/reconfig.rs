@@ -103,12 +103,11 @@ impl Network {
 
     /// Rebuilds the shortest-path tables over the current topology: the
     /// surviving mesh plus the active shortcuts. While the mesh is intact
-    /// this uses the same [`GridGraph`] machinery as construction (so a
+    /// this is the same [`PortTables`] build as construction (so a
     /// fault-free retune behaves exactly as it always did); with failed
     /// mesh links it switches to a per-destination BFS over the surviving
     /// links.
     pub(super) fn rebuild_unicast_tables(&mut self) {
-        let n = self.dims.nodes();
         self.route_epoch += 1;
         if self.mesh_link_failures > 0 {
             let shortcuts = self.active_shortcuts.clone();
@@ -119,25 +118,7 @@ impl Network {
             return;
         }
         self.detour_dist = None;
-        let graph = GridGraph::from_fabric(&self.fabric, &self.active_shortcuts);
-        let dist = graph.distances();
-        let tables = RoutingTables::from_distances(&graph, &dist);
-        let mut pt = vec![0u8; n * n];
-        let mut dm = vec![0u32; n * n];
-        for r in 0..n {
-            for d in 0..n {
-                dm[r * n + d] = dist.get(r, d);
-                if r == d {
-                    pt[r * n + d] = self.base_ports[r];
-                    continue;
-                }
-                let next = tables.next_hop(r, d);
-                pt[r * n + d] = match self.fabric.port_between(r, next) {
-                    Some(slot) => slot,
-                    None => self.base_ports[r] + 1,
-                };
-            }
-        }
+        let (pt, dm) = PortTables::shortest_path(&self.fabric, &self.active_shortcuts).into_parts();
         self.port_table = Some(pt);
         self.sp_dist = Some(dm);
     }
@@ -179,5 +160,52 @@ impl Network {
     /// Whether RF output ports may accept new packets.
     pub(super) fn rf_accepting(&self) -> bool {
         !matches!(self.reconfig, ReconfigState::Draining(_))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rfnoc_topology::routing::RoutingTables;
+    use rfnoc_topology::GridGraph;
+
+    /// The node-level reference tables mapped to ports, and their
+    /// distances.
+    fn reference(fabric: &FabricSpec, shortcuts: &[Shortcut]) -> (Vec<u8>, Vec<u32>) {
+        let graph = GridGraph::from_fabric(fabric, shortcuts);
+        let ports = RoutingTables::shortest_path(&graph).port_table(fabric);
+        (ports, graph.distances().into_vec())
+    }
+
+    /// Construction and a fault-free retune both install exactly the
+    /// reference tables, on the mesh and the ring-mesh, including a
+    /// shortcut laid along a base link.
+    #[test]
+    fn retuned_tables_match_the_reference() {
+        for fabric in [
+            FabricSpec::mesh(GridDims::new(6, 6)),
+            FabricSpec::ring_mesh(GridDims::new(8, 8), 4),
+        ] {
+            let first = vec![Shortcut::new(0, 35), Shortcut::new(30, 5)];
+            let parallel = fabric.neighbors(14)[0];
+            let second = vec![
+                Shortcut::new(14, parallel),
+                Shortcut::new(5, 30),
+                Shortcut::new(35, 0),
+                Shortcut::new(20, 3),
+            ];
+            let spec = NetworkSpec::with_fabric(fabric, SimConfig::paper_baseline(), first.clone());
+            let mut net = Network::new(spec);
+            let (ports, dist) = reference(&fabric, &first);
+            assert_eq!(net.port_table.as_deref(), Some(ports.as_slice()), "{fabric}");
+            assert_eq!(net.sp_dist.as_deref(), Some(dist.as_slice()), "{fabric}");
+
+            net.apply_retuning(&second);
+            assert_eq!(net.active_shortcuts(), second.as_slice());
+            let (ports, dist) = reference(&fabric, &second);
+            assert_eq!(net.port_table.as_deref(), Some(ports.as_slice()), "{fabric}");
+            assert_eq!(net.sp_dist.as_deref(), Some(dist.as_slice()), "{fabric}");
+            assert!(net.detour_dist.is_none());
+        }
     }
 }

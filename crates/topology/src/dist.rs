@@ -1,7 +1,6 @@
 //! All-pairs shortest-path distances with incremental edge evaluation.
 
 use crate::graph::{GridGraph, NodeId};
-use std::collections::VecDeque;
 
 /// Distance value used to mark unreachable pairs.
 pub const UNREACHABLE: u32 = u32::MAX;
@@ -21,21 +20,34 @@ pub struct DistanceMatrix {
 
 impl DistanceMatrix {
     /// Computes all-pairs shortest paths over `graph` by BFS from each node.
+    ///
+    /// `O(V·E)` over a flattened copy of the adjacency lists; the only
+    /// scratch besides the `V²` result is `O(V + E)`.
     pub fn from_graph(graph: &GridGraph) -> Self {
         let n = graph.node_count();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::new();
+        offsets.push(0);
+        for u in 0..n {
+            targets.extend(graph.neighbors(u).iter().map(|&v| v as u32));
+            offsets.push(targets.len());
+        }
         let mut d = vec![UNREACHABLE; n * n];
-        let mut queue = VecDeque::with_capacity(n);
-        for src in 0..n {
-            let row = &mut d[src * n..(src + 1) * n];
+        let mut queue: Vec<u32> = Vec::with_capacity(n);
+        for (src, row) in d.chunks_exact_mut(n).enumerate() {
             row[src] = 0;
             queue.clear();
-            queue.push_back(src);
-            while let Some(u) = queue.pop_front() {
+            queue.push(src as u32);
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
+                let u = u as usize;
                 let du = row[u];
-                for &v in graph.neighbors(u) {
-                    if row[v] == UNREACHABLE {
-                        row[v] = du + 1;
-                        queue.push_back(v);
+                for &v in &targets[offsets[u]..offsets[u + 1]] {
+                    let slot = &mut row[v as usize];
+                    if *slot == UNREACHABLE {
+                        *slot = du + 1;
+                        queue.push(v);
                     }
                 }
             }
@@ -56,6 +68,20 @@ impl DistanceMatrix {
     pub fn get(&self, src: NodeId, dst: NodeId) -> u32 {
         assert!(src < self.n && dst < self.n, "node index out of range");
         self.d[src * self.n + dst]
+    }
+
+    /// Distances from `src` to every node (row `src` of the matrix).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is out of range.
+    pub fn row(&self, src: NodeId) -> &[u32] {
+        &self.d[src * self.n..(src + 1) * self.n]
+    }
+
+    /// The flattened `V×V` distances (row = source), without a copy.
+    pub fn into_vec(self) -> Vec<u32> {
+        self.d
     }
 
     /// The network diameter: the maximum finite pairwise distance.
@@ -119,25 +145,26 @@ impl DistanceMatrix {
     /// `d(x,y) ← min(d(x,y), d(x,i) + 1 + d(j,y))` for all pairs.
     ///
     /// After [`GridGraph::add_shortcut`] this is equivalent to a full APSP
-    /// recomputation for a single added edge.
+    /// recomputation for a single added edge. A source row `x` can only
+    /// change if the edge shortens `d(x,j)` itself: otherwise
+    /// `d(x,i) + 1 + d(j,y) ≥ d(x,j) + d(j,y) ≥ d(x,y)` by the triangle
+    /// inequality, so such rows are skipped without a scan.
     pub fn apply_edge(&mut self, i: NodeId, j: NodeId) {
         let n = self.n;
-        // Copy row j and column i to avoid aliasing during the update.
-        let row_j: Vec<u32> = self.d[j * n..(j + 1) * n].to_vec();
-        let col_i: Vec<u32> = (0..n).map(|x| self.d[x * n + i]).collect();
-        for (x, &dxi) in col_i.iter().enumerate() {
-            if dxi == UNREACHABLE {
+        // Row j and column i never change under their own edge (a path
+        // through (i, j) back to i or out of j is never shorter), but
+        // row j is copied to let row x be updated in place.
+        let row_j: Vec<u32> = self.row(j).to_vec();
+        for row in self.d.chunks_exact_mut(n) {
+            let dxi = row[i];
+            if dxi == UNREACHABLE || u64::from(dxi) + 1 >= u64::from(row[j]) {
                 continue;
             }
-            for (y, &djy) in row_j.iter().enumerate() {
-                if djy == UNREACHABLE {
-                    continue;
-                }
-                let via = dxi as u64 + 1 + djy as u64;
-                let cur = &mut self.d[x * n + y];
-                if via < *cur as u64 {
-                    *cur = via as u32;
-                }
+            let base = dxi + 1;
+            for (cur, &djy) in row.iter_mut().zip(&row_j) {
+                // An unreachable d(j,y) saturates to UNREACHABLE and
+                // leaves the entry as it was.
+                *cur = (*cur).min(base.saturating_add(djy));
             }
         }
     }

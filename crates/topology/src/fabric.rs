@@ -293,6 +293,64 @@ impl FabricSpec {
             .expect("base route must follow a fabric edge")
     }
 
+    /// The base-route out-slot for every `router * n + dest` pair — the
+    /// slot [`FabricSpec::base_port`] returns — with the local slot
+    /// (`base_slot_count(r)`) on the diagonal.
+    ///
+    /// `O(V²)` table writes. Each base next hop is resolved to its slot
+    /// through a per-router neighbour→slot lookup; on the ring-mesh only
+    /// `O(V·(T + tile²))` next hops are computed for `T` tiles, since off
+    /// its own tile a station's base route depends only on the destination
+    /// tile (chain down from a station, XY across tiles from a gateway).
+    pub fn base_port_table(&self) -> Vec<u8> {
+        let n = self.nodes();
+        let slots = NeighborSlots::new(self);
+        let port = |r: NodeId, dest: NodeId| {
+            if dest == r {
+                return self.base_slot_count(r) as u8;
+            }
+            slots
+                .slot(r, self.base_next_hop(r, dest))
+                .expect("base route must follow a fabric edge")
+        };
+        let mut table = vec![0u8; n * n];
+        match *self {
+            Self::Mesh { .. } => {
+                for (r, row) in table.chunks_exact_mut(n).enumerate() {
+                    for (dest, out) in row.iter_mut().enumerate() {
+                        *out = port(r, dest);
+                    }
+                }
+            }
+            Self::RingMesh { dims, tile } => {
+                let v = RingMeshView::new(dims, tile);
+                let tile_of: Vec<usize> = (0..n)
+                    .map(|r| {
+                        let (tx, ty) = v.tile_of(r);
+                        ty * v.tiles_x + tx
+                    })
+                    .collect();
+                let gateways: Vec<NodeId> = (0..v.tiles_x * v.tiles_y)
+                    .map(|t| v.node_at(t % v.tiles_x, t / v.tiles_x, 0))
+                    .collect();
+                let mut toward = vec![0u8; gateways.len()];
+                for (r, row) in table.chunks_exact_mut(n).enumerate() {
+                    let own = tile_of[r];
+                    for (t, out) in toward.iter_mut().enumerate() {
+                        if t != own {
+                            *out = port(r, gateways[t]);
+                        }
+                    }
+                    for (dest, out) in row.iter_mut().enumerate() {
+                        let t = tile_of[dest];
+                        *out = if t == own { port(r, dest) } else { toward[t] };
+                    }
+                }
+            }
+        }
+        table
+    }
+
     /// The longest base route between any pair of routers — the diameter of
     /// the escape fabric, used to size distance histograms.
     pub fn max_route_len(&self) -> u32 {
@@ -343,6 +401,44 @@ impl fmt::Display for FabricSpec {
 impl Default for FabricSpec {
     fn default() -> Self {
         Self::Mesh { dims: GridDims::paper_baseline() }
+    }
+}
+
+/// Per-router base links as `(neighbour, slot)` pairs, ascending by
+/// neighbour then slot, so a lookup finds the same slot as
+/// [`FabricSpec::port_between`] without re-deriving any neighbour.
+pub(crate) struct NeighborSlots {
+    stride: usize,
+    len: Vec<u8>,
+    links: Vec<(NodeId, u8)>,
+}
+
+impl NeighborSlots {
+    pub(crate) fn new(fabric: &FabricSpec) -> Self {
+        let n = fabric.nodes();
+        let stride = fabric.max_base_slots();
+        let mut len = vec![0u8; n];
+        let mut links = vec![(0, 0); n * stride];
+        for (r, (count, out)) in len.iter_mut().zip(links.chunks_exact_mut(stride)).enumerate() {
+            for slot in 0..fabric.base_slot_count(r) as u8 {
+                if let Some(nb) = fabric.port_neighbor(r, slot) {
+                    out[*count as usize] = (nb, slot);
+                    *count += 1;
+                }
+            }
+            out[..*count as usize].sort_unstable();
+        }
+        Self { stride, len, links }
+    }
+
+    /// Router `r`'s base links, ascending by neighbour id.
+    pub(crate) fn links(&self, r: NodeId) -> &[(NodeId, u8)] {
+        &self.links[r * self.stride..r * self.stride + self.len[r] as usize]
+    }
+
+    /// The slot at `r` whose link leads to `nb`, if they are adjacent.
+    pub(crate) fn slot(&self, r: NodeId, nb: NodeId) -> Option<u8> {
+        self.links(r).iter().find(|&&(to, _)| to == nb).map(|&(_, slot)| slot)
     }
 }
 

@@ -14,6 +14,9 @@
 //!   (exhaustive permutation-graph greedy and max-cost greedy), the
 //!   application-specific `F·W` weighted variant, and the region-based
 //!   hotspot-aware selection of §3.2.2.
+//! * [`routing::PortTables`] — the shortest-path out-port tables a
+//!   simulator programs into its routers (§3.2), built in `O(V·E + V²·deg)`
+//!   into a `V²` `u8` table beside the `V²` `u32` distances.
 //!
 //! # Example
 //!

@@ -9,16 +9,28 @@
 //!   the incremental evaluation of
 //!   [`DistanceMatrix::improvement_if_added`]).
 //! * [`select_max_cost`] — Figure 3b: repeatedly connect the pair with the
-//!   maximum current cost `w(i,j)·d(i,j)` (`O(B·V³)`), the variant the paper
-//!   adopts ("we have tried both heuristics and found the resulting set of
-//!   shortcuts to perform comparably well").
+//!   maximum current cost `w(i,j)·d(i,j)`, the variant the paper adopts
+//!   ("we have tried both heuristics and found the resulting set of
+//!   shortcuts to perform comparably well"). `O(V·E)` for the initial
+//!   APSP and `O(V²)` for the first row scan, then per shortcut an `O(V²)`
+//!   distance update (rows the edge cannot shorten are skipped) plus
+//!   rescans of only the invalidated rows, `O(V)` each.
+//! * [`select_max_distance`] — the same heuristic with uniform weights
+//!   (architecture-specific selection), scored by hop distance directly:
+//!   the same shortcuts as [`select_max_cost`] with
+//!   [`PairWeights::uniform`] and the same bounds, without the `V²` weight
+//!   matrix.
 //! * [`select_application_specific`] — §3.2.2: the region-based variant that
 //!   alternates router-pair placement with region-pair placement over 3×3
-//!   sub-meshes, allowing multiple shortcuts to serve one hotspot.
+//!   sub-meshes, allowing multiple shortcuts to serve one hotspot. A
+//!   router-pair turn scans `O(V²)` candidates; a region turn costs
+//!   `O(R·9V)` products plus 81 additions for each of the `O(R²)`
+//!   non-overlapping region pairs ([`best_region_pair`], `R ≈ V` regions),
+//!   then scans only the 81 router pairs of the winning regions.
 
 use crate::dist::DistanceMatrix;
 use crate::graph::{GridGraph, NodeId, Shortcut};
-use crate::regions::{best_region_pair, Region};
+use crate::regions::best_region_pair;
 use crate::weights::PairWeights;
 
 /// Constraints on shortcut placement.
@@ -101,11 +113,17 @@ impl PortUsage {
     }
 
     fn can_place(&self, c: &SelectionConstraints, i: NodeId, j: NodeId) -> bool {
-        i != j
-            && c.eligible[i]
-            && c.eligible[j]
-            && self.out_used[i] < c.max_out_per_node
-            && self.in_used[j] < c.max_in_per_node
+        i != j && self.can_source(c, i) && self.can_sink(c, j)
+    }
+
+    /// Whether `i` may still source a shortcut.
+    fn can_source(&self, c: &SelectionConstraints, i: NodeId) -> bool {
+        c.eligible[i] && self.out_used[i] < c.max_out_per_node
+    }
+
+    /// Whether `j` may still sink a shortcut.
+    fn can_sink(&self, c: &SelectionConstraints, j: NodeId) -> bool {
+        c.eligible[j] && self.in_used[j] < c.max_in_per_node
     }
 
     fn place(&mut self, i: NodeId, j: NodeId) {
@@ -215,15 +233,42 @@ pub fn select_max_cost_profiled(
     weights: &PairWeights,
     constraints: &SelectionConstraints,
 ) -> (Vec<Shortcut>, SelectionProfile) {
+    assert_eq!(weights.node_count(), graph.node_count(), "weights node count mismatch");
+    select_incremental(graph, PairScore::WeightedDistance(weights), constraints)
+}
+
+/// Figure 3b with uniform weights — architecture-specific selection
+/// (§3.2.1) — scored by the hop distance `d(i,j)` itself.
+///
+/// With unit weights `w(i,j)·d(i,j)` is exactly `d(i,j)`, so this selects
+/// the same shortcuts as [`select_max_cost`] over
+/// [`PairWeights::uniform`], without building that `V²` weight matrix.
+///
+/// # Panics
+///
+/// Panics if the constraints do not match the graph's node count.
+pub fn select_max_distance(
+    graph: &GridGraph,
+    constraints: &SelectionConstraints,
+) -> Vec<Shortcut> {
+    select_incremental(graph, PairScore::Distance, constraints).0
+}
+
+/// The incremental max-cost selector behind [`select_max_cost_profiled`]
+/// and [`select_max_distance`].
+fn select_incremental(
+    graph: &GridGraph,
+    score: PairScore<'_>,
+    constraints: &SelectionConstraints,
+) -> (Vec<Shortcut>, SelectionProfile) {
     let n = graph.node_count();
     constraints.validate(n);
-    assert_eq!(weights.node_count(), n, "weights node count mismatch");
     let mut dist = graph.distances();
     let mut usage = PortUsage::new(n);
-    let mut rows = IncrementalRows::new(n);
+    let mut rows = IncrementalRows::new(constraints, &usage);
     let mut profile = SelectionProfile::default();
     for x in 0..n {
-        rows.rescan(x, &dist, weights, constraints, &usage, &mut profile);
+        rows.rescan(x, &dist, score, constraints, &usage, &mut profile);
     }
     let mut selected = Vec::with_capacity(constraints.budget);
     for _ in 0..constraints.budget {
@@ -232,13 +277,13 @@ pub fn select_max_cost_profiled(
         usage.place(i, j);
         selected.push(Shortcut::new(i, j));
         profile.rounds += 1;
-        rows.revalidate(i, j, &dist, weights, constraints, &usage, &mut profile);
+        rows.revalidate(i, j, &dist, score, constraints, &usage, &mut profile);
     }
     (selected, profile)
 }
 
 /// The pre-refactor rescanning implementation of [`select_max_cost`]: every
-/// round re-evaluates all `V²` candidates with [`max_cost_pair`]. Kept as
+/// round re-evaluates all `V²` candidates with `max_cost_pair`. Kept as
 /// the reference the incremental selector is property-tested against.
 ///
 /// # Panics
@@ -258,12 +303,10 @@ pub fn select_max_cost_rescan(
     for _ in 0..constraints.budget {
         let Some((i, j)) = max_cost_pair(
             &dist,
-            weights,
+            PairScore::WeightedDistance(weights),
             constraints,
             &usage,
             None,
-            None,
-            PairScore::WeightedDistance,
         ) else {
             break;
         };
@@ -288,11 +331,18 @@ pub fn select_max_cost_rescan(
 /// endpoint port fills up — at which point the row is rescanned.
 struct IncrementalRows {
     rows: Vec<Option<(f64, NodeId)>>,
+    /// `u32::MAX` for each destination that may still sink a shortcut,
+    /// else 0: a mask over a distance row.
+    open: Vec<u32>,
 }
 
 impl IncrementalRows {
-    fn new(n: usize) -> Self {
-        Self { rows: vec![None; n] }
+    fn new(constraints: &SelectionConstraints, usage: &PortUsage) -> Self {
+        let n = constraints.eligible.len();
+        let open = (0..n)
+            .map(|y| if usage.can_sink(constraints, y) { u32::MAX } else { 0 })
+            .collect();
+        Self { rows: vec![None; n], open }
     }
 
     /// Recomputes row `x` from scratch, mirroring [`max_cost_pair`]'s inner
@@ -301,24 +351,37 @@ impl IncrementalRows {
         &mut self,
         x: NodeId,
         dist: &DistanceMatrix,
-        weights: &PairWeights,
+        score: PairScore<'_>,
         constraints: &SelectionConstraints,
         usage: &PortUsage,
         profile: &mut SelectionProfile,
     ) {
         self.rows[x] = None;
-        if !constraints.eligible[x] || usage.out_used[x] >= constraints.max_out_per_node {
+        if !usage.can_source(constraints, x) {
             return;
         }
         profile.rows_rescanned += 1;
         let n = dist.node_count();
         profile.candidates_scanned += n as u64;
+        let row = dist.row(x);
+        let Some(weights) = score.row(x) else {
+            // Whole hop counts never tie within the epsilon, so the fold
+            // below reduces to the first open destination at the largest
+            // distance (`d(x,x) = 0` masks the source itself).
+            let masked = || row.iter().zip(&self.open).map(|(&d, &open)| d & open);
+            let far = masked().max().unwrap_or(0);
+            if far > 1 {
+                let y = masked().position(|d| d == far).expect("the maximum is present");
+                self.rows[x] = Some((f64::from(far), y));
+            }
+            return;
+        };
         let mut best: Option<(f64, NodeId)> = None;
-        for y in 0..n {
-            if !usage.can_place(constraints, x, y) || dist.get(x, y) <= 1 {
+        for (y, (&d, &open)) in row.iter().zip(&self.open).enumerate() {
+            if d <= 1 || y == x || open == 0 {
                 continue;
             }
-            let cost = weights.get(x, y) * dist.get(x, y) as f64;
+            let cost = weights[y] * d as f64;
             if cost <= 0.0 {
                 continue;
             }
@@ -362,89 +425,118 @@ impl IncrementalRows {
         i: NodeId,
         j: NodeId,
         dist: &DistanceMatrix,
-        weights: &PairWeights,
+        score: PairScore<'_>,
         constraints: &SelectionConstraints,
         usage: &PortUsage,
         profile: &mut SelectionProfile,
     ) {
-        let j_full = usage.in_used[j] >= constraints.max_in_per_node;
+        let j_full = !usage.can_sink(constraints, j);
+        if j_full {
+            self.open[j] = 0;
+        }
         for x in 0..self.rows.len() {
             let stale = match self.rows[x] {
                 None => false,
                 Some((cost, y)) => {
+                    let d = dist.row(x)[y];
                     // The placed source may have exhausted its out-ports.
                     x == i
                         // The placed destination may have filled its in-port.
                         || (j_full && y == j)
                         // The cached entry's own cost or feasibility moved
                         // (distances only ever decrease).
-                        || dist.get(x, y) <= 1
-                        || weights.get(x, y) * dist.get(x, y) as f64 != cost
+                        || d <= 1
+                        || PairScore::cost(score.row(x), y, d) != cost
                 }
             };
             if stale {
-                self.rescan(x, dist, weights, constraints, usage, profile);
+                self.rescan(x, dist, score, constraints, usage, profile);
             }
         }
     }
 }
 
-/// How candidate pairs are scored by [`max_cost_pair`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PairScore {
+/// How candidate pairs are scored by [`max_cost_pair`] and the
+/// incremental selector.
+#[derive(Debug, Clone, Copy)]
+enum PairScore<'w> {
     /// `w(i,j) · d(i,j)` — requires positive weight.
-    WeightedDistance,
-    /// Plain hop distance `d(i,j)` — the uniform fallback.
+    WeightedDistance(&'w PairWeights),
+    /// Plain hop distance `d(i,j)` — uniform weights without the matrix.
     Distance,
 }
 
+impl<'w> PairScore<'w> {
+    /// The weight row of source `x`, or `None` when scoring by distance.
+    fn row(self, x: NodeId) -> Option<&'w [f64]> {
+        match self {
+            Self::WeightedDistance(w) => Some(w.row(x)),
+            Self::Distance => None,
+        }
+    }
+
+    /// The score of destination `y` at distance `d`, given its source's
+    /// [`PairScore::row`].
+    #[inline]
+    fn cost(weights: Option<&[f64]>, y: NodeId, d: u32) -> f64 {
+        match weights {
+            Some(w) => w[y] * d as f64,
+            None => d as f64,
+        }
+    }
+}
+
 /// Finds the feasible pair maximising the chosen score, optionally with the
-/// source restricted to region `src_region` and the destination to
-/// `dst_region`. Ties break toward the lexicographically smallest pair.
+/// source restricted to one region's routers and the destination to
+/// another's (`regions = (sources, destinations)`, each ascending). Ties
+/// break toward the lexicographically smallest pair.
 fn max_cost_pair(
     dist: &DistanceMatrix,
-    weights: &PairWeights,
+    score: PairScore<'_>,
     constraints: &SelectionConstraints,
     usage: &PortUsage,
-    src_region: Option<&Region>,
-    dst_region: Option<&Region>,
-    score: PairScore,
+    regions: Option<(&[NodeId], &[NodeId])>,
 ) -> Option<(NodeId, NodeId)> {
-    let n = dist.node_count();
     let mut best: Option<(f64, NodeId, NodeId)> = None;
-    for i in 0..n {
-        if let Some(r) = src_region {
-            if !r.contains_node(i) {
-                continue;
+    let mut consider = |i: NodeId, j: NodeId, d: u32, weights: Option<&[f64]>| {
+        if d <= 1 || i == j || !usage.can_sink(constraints, j) {
+            return;
+        }
+        let cost = PairScore::cost(weights, j, d);
+        if cost <= 0.0 {
+            return;
+        }
+        let better = match best {
+            None => true,
+            Some((bc, bi, bj)) => {
+                cost > bc + 1e-9 || ((cost - bc).abs() <= 1e-9 && (i, j) < (bi, bj))
             }
+        };
+        if better {
+            best = Some((cost, i, j));
         }
-        if !constraints.eligible[i] || usage.out_used[i] >= constraints.max_out_per_node {
-            continue;
-        }
-        for j in 0..n {
-            if let Some(r) = dst_region {
-                if !r.contains_node(j) {
+    };
+    match regions {
+        None => {
+            for i in 0..dist.node_count() {
+                if !usage.can_source(constraints, i) {
                     continue;
                 }
-            }
-            if !usage.can_place(constraints, i, j) || dist.get(i, j) <= 1 {
-                continue;
-            }
-            let cost = match score {
-                PairScore::WeightedDistance => weights.get(i, j) * dist.get(i, j) as f64,
-                PairScore::Distance => dist.get(i, j) as f64,
-            };
-            if cost <= 0.0 {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((bc, bi, bj)) => {
-                    cost > bc + 1e-9 || ((cost - bc).abs() <= 1e-9 && (i, j) < (bi, bj))
+                let weights = score.row(i);
+                for (j, &d) in dist.row(i).iter().enumerate() {
+                    consider(i, j, d, weights);
                 }
-            };
-            if better {
-                best = Some((cost, i, j));
+            }
+        }
+        Some((srcs, dsts)) => {
+            for &i in srcs {
+                if !usage.can_source(constraints, i) {
+                    continue;
+                }
+                let (weights, row) = (score.row(i), dist.row(i));
+                for &j in dsts {
+                    consider(i, j, row[j], weights);
+                }
             }
         }
     }
@@ -476,45 +568,20 @@ pub fn select_application_specific(
     let mut usage = PortUsage::new(n);
     let mut selected = Vec::with_capacity(constraints.budget);
     let mut region_turn = false;
+    let weighted = PairScore::WeightedDistance(weights);
     while selected.len() < constraints.budget {
         let region_pick = || {
             let (region_i, region_j) = best_region_pair(dims, &dist, weights)?;
+            let regions = (region_i.nodes(), region_j.nodes());
+            let regions = Some((regions.0.as_slice(), regions.1.as_slice()));
             // Within the hottest region pair, prefer the hottest remaining
             // router pair; if the hot routers' ports are already used, still
             // place a shortcut between the regions (the distance fallback) —
             // this is what lets shortcuts crowd around a hotspot (§3.2.2).
-            max_cost_pair(
-                &dist,
-                weights,
-                constraints,
-                &usage,
-                Some(&region_i),
-                Some(&region_j),
-                PairScore::WeightedDistance,
-            )
-            .or_else(|| {
-                max_cost_pair(
-                    &dist,
-                    weights,
-                    constraints,
-                    &usage,
-                    Some(&region_i),
-                    Some(&region_j),
-                    PairScore::Distance,
-                )
-            })
+            max_cost_pair(&dist, weighted, constraints, &usage, regions)
+                .or_else(|| max_cost_pair(&dist, PairScore::Distance, constraints, &usage, regions))
         };
-        let pair_pick = || {
-            max_cost_pair(
-                &dist,
-                weights,
-                constraints,
-                &usage,
-                None,
-                None,
-                PairScore::WeightedDistance,
-            )
-        };
+        let pair_pick = || max_cost_pair(&dist, weighted, constraints, &usage, None);
         let pick = if region_turn {
             region_pick().or_else(pair_pick)
         } else {

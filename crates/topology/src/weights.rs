@@ -69,6 +69,15 @@ impl PairWeights {
         self.w[src * self.n + dst]
     }
 
+    /// Weights from `src` to every node (row `src` of the matrix).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is out of range.
+    pub fn row(&self, src: NodeId) -> &[f64] {
+        &self.w[src * self.n..(src + 1) * self.n]
+    }
+
     /// Adds `amount` to the weight of ordered pair `(src, dst)`.
     ///
     /// # Panics

@@ -1,7 +1,7 @@
 //! Property-based tests for graph algorithms and shortcut selection.
 
 use proptest::prelude::*;
-use rfnoc_topology::routing::RoutingTables;
+use rfnoc_topology::routing::PortTables;
 use rfnoc_topology::select::{
     check_constraints, select_application_specific, select_exhaustive_greedy, select_max_cost,
     select_max_cost_rescan, SelectionConstraints,
@@ -96,7 +96,7 @@ proptest! {
                 used_in[b] = true;
             }
         }
-        let tables = RoutingTables::shortest_path(&g);
+        let tables = PortTables::shortest_path(&FabricSpec::mesh(dims), g.shortcuts());
         let dist = g.distances();
         for src in 0..25 {
             for dst in 0..25 {

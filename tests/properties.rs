@@ -6,9 +6,9 @@ use rfnoc_power::LinkWidth;
 use rfnoc_sim::{
     DestSet, MessageClass, MessageSpec, Network, NetworkSpec, ScriptedWorkload, SimConfig,
 };
-use rfnoc_topology::routing::{xy_route, RoutingTables};
+use rfnoc_topology::routing::{xy_route, PortTables};
 use rfnoc_topology::select::{check_constraints, select_max_cost, SelectionConstraints};
-use rfnoc_topology::{GridDims, GridGraph, PairWeights, Shortcut};
+use rfnoc_topology::{FabricSpec, GridDims, GridGraph, PairWeights, Shortcut};
 
 fn quick_config() -> SimConfig {
     let mut cfg = SimConfig::paper_baseline();
@@ -80,7 +80,7 @@ proptest! {
             }
         }
         let dist = g.distances();
-        let tables = RoutingTables::shortest_path(&g);
+        let tables = PortTables::shortest_path(&FabricSpec::mesh(dims), g.shortcuts());
         for src in 0..36 {
             for dst in 0..36 {
                 let route = tables.route(src, dst);
